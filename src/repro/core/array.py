@@ -75,8 +75,8 @@ class Chunk:
 
     @property
     def occupied_count(self) -> int:
-        """Cells that are PRESENT or NULL (i.e. not EMPTY)."""
-        return int(np.count_nonzero(self.state != CellState.EMPTY))
+        """Cells that are PRESENT or NULL (i.e. not EMPTY, which is 0)."""
+        return int(np.count_nonzero(self.state))
 
     def nbytes(self) -> int:
         import sys
@@ -192,6 +192,29 @@ class SciArray:
 
     def chunks(self) -> Iterator[Chunk]:
         return iter(self._chunks.values())
+
+    def chunk_items(self) -> Iterator[tuple[Coords, Chunk]]:
+        """``(chunk key, chunk)`` pairs in key order — the order
+        :meth:`cells` walks, so chunk kernels fold values in cell order."""
+        return ((key, self._chunks[key]) for key in sorted(self._chunks))
+
+    def adopt_chunk(self, key: Coords, chunk: Chunk) -> None:
+        """Install a chunk built on this array's chunk grid under *key*.
+
+        The output path of the chunk kernels: an all-EMPTY chunk is
+        dropped, and unbounded dimensions' high-water marks rise to the
+        chunk's occupied cells (bounded ones report their declared size).
+        """
+        if not chunk.state.any():
+            return
+        self._chunks[key] = chunk
+        for d, dim in enumerate(self.schema.dimensions):
+            if dim.size is None:
+                others = tuple(a for a in range(self.ndim) if a != d)
+                last = np.flatnonzero(chunk.state.any(axis=others))[-1]
+                self._high_water[d] = max(
+                    self._high_water[d], chunk.origin[d] + int(last)
+                )
 
     # ------------------------------------------------------------------
     # coordinate plumbing
@@ -619,21 +642,25 @@ class SciArray:
 
         NULL cells yield ``(coords, None)`` unless *include_null* is false.
         """
-        for key in sorted(self._chunks):
-            chunk = self._chunks[key]
-            occupied = np.argwhere(chunk.state != CellState.EMPTY)
-            # argwhere returns offsets in row-major (sorted) order already.
-            for off in map(tuple, occupied):
-                coords = tuple(int(o + i) for o, i in zip(chunk.origin, off))
-                if chunk.state[off] == CellState.NULL:
-                    if include_null:
-                        yield coords, None
-                    continue
-                values = [
-                    self._load_value(chunk.data[a.name][off], a)
-                    for a in self.schema.attributes
-                ]
-                yield coords, Cell(self.attr_names, values)
+        names = self.attr_names
+        for _, chunk in self.chunk_items():
+            wanted = (
+                chunk.state != CellState.EMPTY
+                if include_null
+                else chunk.state == CellState.PRESENT
+            )
+            offsets = np.argwhere(wanted)  # row-major (sorted) order
+            if not len(offsets):
+                continue
+            coords = map(tuple, (offsets + chunk.origin).tolist())
+            # tolist() gives the Python scalars _load_value would.
+            rows = zip(*(
+                list(p) if p.dtype == object else p.tolist()
+                for p in (chunk.data[n][wanted] for n in names)
+            ))
+            nulls = (chunk.state[wanted] == CellState.NULL).tolist()
+            for c, row, null in zip(coords, rows, nulls):
+                yield c, None if null else Cell(names, row)
 
     def coords_present(self) -> Iterator[Coords]:
         for coords, cell in self.cells(include_null=False):

@@ -17,29 +17,40 @@ array":
 * :func:`regrid` — the regridding the paper singles out as a key science
   operation (Section 2.3): coarsen an array by integer factors, combining
   each block with an aggregate.
+
+Each operator has one implementation: a kernel run chunk by chunk over
+each :class:`~repro.core.array.Chunk`'s ``data`` planes and ``state``
+mask.  Kernels see PRESENT values only, so dense and sparse arrays, NULL
+and EMPTY cells and unbounded dimensions all take the same path.  A
+per-cell loop remains only where numpy cannot do the work, which the
+inputs say: a Python callable (``predicate=``, ``fn=``, a text-language
+UDF), a user-defined aggregate, or an aggregate over an object-typed plane.
 """
 
 from __future__ import annotations
 
-import builtins
-import itertools
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from ..array import SciArray
-from ..cells import Cell
+from ..array import Chunk, SciArray
+from ..cells import Cell, CellState
 from ..datatypes import FLOAT64, INT64, ScalarType, get_type
-from ..errors import SchemaError, TypeMismatchError
+from ..errors import SchemaError
 from ..schema import ArraySchema, Attribute, Dimension
-from ..udf import UserAggregate, get_aggregate
+from ..udf import BUILTIN_AGGREGATES, UserAggregate, get_aggregate
 from . import register_operator
 
 __all__ = ["filter", "aggregate", "cjoin", "apply", "project", "regrid"]
 
 Coords = tuple[int, ...]
-Predicate = Callable[[Cell], bool]
 AggSpec = Union[str, UserAggregate]
+#: One chunk's PRESENT values: attribute name -> 1-D plane.
+Planes = dict[str, np.ndarray]
+
+#: Aggregates the fold kernel computes with numpy.  Matched by identity,
+#: so a user aggregate registered under a builtin's name folds per cell.
+_ALGEBRAIC = {a.name: a for a in BUILTIN_AGGREGATES}
 
 
 def _resolve_aggregate(agg: AggSpec) -> UserAggregate:
@@ -48,63 +59,79 @@ def _resolve_aggregate(agg: AggSpec) -> UserAggregate:
     return get_aggregate(agg)
 
 
-def _dense_numeric_blocks(array: SciArray) -> Optional[dict[str, np.ndarray]]:
-    """All attribute planes as numpy blocks, when the array is fully dense
-    with native-dtype attributes; ``None`` otherwise."""
-    hw = array.bounds
-    if any(h <= 0 for h in hw):
-        return None
-    if array.count_present() != int(np.prod(hw)):
-        return None
-    for a in array.schema.attributes:
-        if not isinstance(a.type, ScalarType) or a.type.numpy_dtype == object:
-            return None
-    return array.region(tuple([1] * array.ndim), hw, fill=0)
+def _kernel_aggregate(array: SciArray, agg: UserAggregate, attr: str) -> bool:
+    """Whether the fold kernel computes *agg*: a builtin over a native plane."""
+    kind = array.schema.attribute(attr).type
+    native = isinstance(kind, ScalarType) and kind.numpy_dtype != object
+    return native and _ALGEBRAIC.get(agg.name) is agg
+
+
+def _present_planes(chunk: Chunk, present: np.ndarray) -> Planes:
+    return {name: plane[present] for name, plane in chunk.data.items()}
+
+
+def _checked(what: str, result: Any, n: int) -> np.ndarray:
+    """A kernel callback's plane, which must hold one value per PRESENT cell."""
+    plane = np.asarray(result)
+    if plane.shape != (n,):
+        raise SchemaError(f"{what} returned shape {plane.shape}, expected {(n,)}")
+    return plane
+
+
+def _map_chunks(
+    array: SciArray,
+    out: SciArray,
+    kernel: Callable[[Chunk, np.ndarray, int, Chunk], None],
+) -> SciArray:
+    """Fill *out*, which shares *array*'s chunk grid, one chunk at a time.
+
+    ``kernel(chunk, present, n_present, target)`` writes *target*'s
+    planes; *target* starts with the input chunk's cell states, which the
+    kernel may change (filter turns failing PRESENT cells NULL).
+    """
+    for key, chunk in array.chunk_items():
+        target = Chunk(chunk.origin, chunk.shape, out.schema.attributes)
+        target.state[...] = chunk.state
+        present = chunk.state == CellState.PRESENT
+        kernel(chunk, present, int(np.count_nonzero(present)), target)
+        out.adopt_chunk(key, target)
+    return out
 
 
 def filter(
     array: SciArray,
-    predicate: Optional[Predicate] = None,
+    predicate: Optional[Callable[[Cell], bool]] = None,
     name: Optional[str] = None,
-    block_predicate: Optional[Callable[[dict[str, np.ndarray]], np.ndarray]] = None,
+    block_predicate: Optional[Callable[[Planes], np.ndarray]] = None,
 ) -> SciArray:
     """Keep cells satisfying *predicate*; failures become NULL cells.
 
     The output has exactly the input's dimensions.  NULL input cells stay
     NULL (the predicate is never invoked on them); EMPTY stays EMPTY.
 
-    *block_predicate* is the vectorised form: a function from the dict of
-    attribute planes to a boolean ndarray.  On fully dense numeric arrays
-    it evaluates in one numpy pass (the bulk-processing strength the array
-    model exists for); elsewhere the engine falls back to *predicate*,
-    which must then also be supplied (or be derivable — a block predicate
-    alone is rejected on sparse data rather than silently mis-evaluated).
+    *block_predicate* is the kernel form, used whenever it is given: a
+    function from one chunk's PRESENT values (attribute name -> 1-D
+    plane) to a boolean array of the same length.  A per-cell
+    *predicate* alone runs the per-cell loop.
     """
     if predicate is None and block_predicate is None:
         raise SchemaError("filter needs a predicate or a block_predicate")
     out = array.empty_like(name=name or f"{array.name}_filtered")
-    if block_predicate is not None:
-        blocks = _dense_numeric_blocks(array)
-        if blocks is not None:
-            keep = np.asarray(block_predicate(blocks), dtype=bool)
-            shape = next(iter(blocks.values())).shape
-            if keep.shape != shape:
-                raise SchemaError(
-                    f"block_predicate returned shape {keep.shape}, "
-                    f"expected {shape}"
-                )
-            out.set_region(tuple([1] * array.ndim), blocks, null_mask=~keep)
-            return out
-        if predicate is None:
-            raise SchemaError(
-                "array is not fully dense; supply a per-cell predicate"
-            )
-    for coords, cell in array.cells():
-        if cell is not None and predicate(cell):
-            out.set_unchecked(coords, cell.values)
-        else:
-            out.set_unchecked(coords, None)
-    return out
+    if block_predicate is None:
+        for coords, cell in array.cells():
+            keep = cell is not None and predicate(cell)
+            out.set_unchecked(coords, cell.values if keep else None)
+        return out
+
+    def kernel(chunk, present, n, target):
+        for attr, plane in chunk.data.items():
+            target.data[attr][...] = plane
+        if n:
+            keep = block_predicate(_present_planes(chunk, present))
+            keep = _checked("block_predicate", keep, n).astype(bool)
+            target.state[present] = np.where(keep, CellState.PRESENT, CellState.NULL)
+
+    return _map_chunks(array, out, kernel)
 
 
 def aggregate(
@@ -141,91 +168,122 @@ def aggregate(
     )
     out = SciArray(out_schema, name=name or f"{array.name}_agg")
 
-    # Vectorised fast path: dense numeric single plane + algebraic
-    # aggregate -> one numpy reduction over the non-grouped axes.
-    attr_obj = array.schema.attribute(attr_name)
-    hw = array.bounds
-    dense = (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and all(h > 0 for h in hw)
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "avg", "min", "max", "count")
+    shape = tuple(array.high_water(p) for p in positions)
+    return _grouped(
+        array, out, aggregate_fn, attr_name, shape,
+        lambda coords: [coords[p] - 1 for p in positions],
     )
-    if dense:
-        block = array.region(tuple([1] * array.ndim), hw, attr=attr_name, fill=0)
-        data = np.asarray(block, dtype=np.float64)
-        reduce_axes = tuple(
-            d for d in range(array.ndim) if d not in positions
-        )
-        if aggregate_fn.name == "count":
-            reduced = np.full(
-                [hw[p] for p in sorted(positions)],
-                int(np.prod([hw[d] for d in reduce_axes])) if reduce_axes else 1,
-                dtype=np.int64,
-            )
-        else:
-            reducer = {
-                "sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max
-            }[aggregate_fn.name]
-            reduced = reducer(data, axis=reduce_axes) if reduce_axes else data
-        # numpy keeps the surviving axes in ascending original order;
-        # permute to the caller's requested group order.
-        kept = sorted(positions)
-        perm = [kept.index(p) for p in positions]
-        reduced = np.transpose(reduced, perm) if reduced.ndim > 1 else reduced
-        out.set_region(
-            tuple([1] * out.ndim), {aggregate_fn.name: reduced}
-        )
-        return out
-
-    groups: dict[Coords, Any] = {}
-    counts: dict[Coords, bool] = {}
-    for coords, cell in array.cells(include_null=False):
-        key = tuple(coords[p] for p in positions)
-        state = groups.get(key)
-        if key not in counts:
-            state = aggregate_fn.initial()
-            counts[key] = True
-        groups[key] = aggregate_fn.transition(state, getattr(cell, attr_name))
-    for key, state in groups.items():
-        out.set(key, aggregate_fn.final(state))
-    return out
 
 
 def aggregate_all(array: SciArray, agg: AggSpec, attr: Optional[str] = None) -> Any:
-    """Scalar reduction over every PRESENT cell (no grouping dimensions).
-
-    Dense numeric arrays with an algebraic aggregate reduce in one numpy
-    pass; everything else folds cell by cell.
-    """
+    """Scalar reduction over every PRESENT cell (no grouping dimensions)."""
     aggregate_fn = _resolve_aggregate(agg)
     attr_name = attr or array.attr_names[0]
-    attr_obj = array.schema.attribute(attr_name)
-    hw = array.bounds
-    if (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and all(h > 0 for h in hw)
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "count", "avg", "min", "max", "stdev")
-    ):
-        block = np.asarray(
-            array.region(tuple([1] * array.ndim), hw, attr=attr_name, fill=0),
-            dtype=np.float64,
+    if not _kernel_aggregate(array, aggregate_fn, attr_name):
+        return aggregate_fn.compute(
+            getattr(cell, attr_name)
+            for _, cell in array.cells(include_null=False)
         )
-        return {
-            "sum": lambda b: float(b.sum()),
-            "count": lambda b: int(b.size),
-            "avg": lambda b: float(b.mean()),
-            "min": lambda b: float(b.min()),
-            "max": lambda b: float(b.max()),
-            "stdev": lambda b: float(b.std()),
-        }[aggregate_fn.name](block)
-    return aggregate_fn.compute(
-        getattr(cell, attr_name)
-        for _, cell in array.cells(include_null=False)
+    folded = _fold(
+        array, attr_name, aggregate_fn.name, (1,),
+        lambda coords: [np.zeros_like(coords[0])],
     )
+    return aggregate_fn.compute(()) if folded is None else folded[1][0].item()
+
+
+def _grouped(
+    array: SciArray,
+    out: SciArray,
+    agg: UserAggregate,
+    attr: str,
+    shape: tuple[int, ...],
+    group_of: Callable[[Sequence[Any]], list],
+) -> SciArray:
+    """Fold each PRESENT *attr* value into the *out* cell its coordinates
+    map to: *group_of* turns 1-based coordinates (ints, or one array per
+    dimension) into 0-based group coordinates within the *shape* box.
+    Groups no PRESENT cell feeds stay EMPTY."""
+    if _kernel_aggregate(array, agg, attr):
+        folded = _fold(array, attr, agg.name, shape, group_of)
+        if folded is None:
+            return out
+        groups, result = folded
+        side = out.chunk_shape
+        grid = tuple(-(-s // c) for s, c in zip(shape, side))
+        chunk_ids = np.ravel_multi_index([g // c for g, c in zip(groups, side)], grid)
+        for chunk_id in np.unique(chunk_ids).tolist():
+            mine = chunk_ids == chunk_id
+            key = tuple(int(k) for k in np.unravel_index(chunk_id, grid))
+            offsets = tuple(g[mine] - k * c for g, k, c in zip(groups, key, side))
+            chunk = Chunk(tuple(k * c + 1 for k, c in zip(key, side)), side,
+                          out.schema.attributes)
+            chunk.state[offsets] = CellState.PRESENT
+            chunk.data[agg.name][offsets] = result[mine]
+            out.adopt_chunk(key, chunk)
+        return out
+    groups: dict[Coords, Any] = {}
+    for coords, cell in array.cells(include_null=False):
+        key = tuple(g + 1 for g in group_of(coords))
+        state = groups[key] if key in groups else agg.initial()
+        groups[key] = agg.transition(state, getattr(cell, attr))
+    for key, state in groups.items():
+        out.set(key, agg.final(state))
+    return out
+
+
+def _fold(
+    array: SciArray,
+    attr: str,
+    agg: str,
+    shape: tuple[int, ...],
+    group_of: Callable[[Sequence[Any]], list],
+) -> Optional[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """The fold kernel: builtin *agg* of every PRESENT *attr* value,
+    grouped as in :func:`_grouped`.  Returns the 0-based coordinates of
+    every group some cell feeds (one array per *shape* dimension) and
+    each group's result, or ``None`` when no cell is PRESENT.  Memory
+    follows the PRESENT cells, not the *shape* box.  Values accumulate in
+    :meth:`~repro.core.array.SciArray.cells` order, as the per-cell fold's
+    do; integer sums are int64 and wrap past 2**63 as numpy's do.
+    """
+    keys, values = [], []
+    for _, chunk in array.chunk_items():
+        present = chunk.state == CellState.PRESENT
+        offsets = np.nonzero(present)
+        if offsets[0].size:
+            coords = [o + off for o, off in zip(chunk.origin, offsets)]
+            keys.append(np.ravel_multi_index(group_of(coords), shape))
+            values.append(chunk.data[attr][present])
+    if not keys:
+        return None
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    # One stable sort groups the cells, each group kept in cells() order.
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    groups = np.unravel_index(keys[starts], shape)
+    count = np.diff(starts, append=keys.size)
+    if agg == "count":
+        return groups, count
+    if agg in ("min", "max"):
+        folded = (np.fmin if agg == "min" else np.fmax).reduceat(values, starts)
+        first = values[starts]
+        if first.dtype.kind == "f":
+            # The per-cell fold keeps NaN only when it is a group's first value.
+            folded = np.where(np.isnan(first), first, folded)
+        return groups, folded
+    ids = np.repeat(np.arange(starts.size), count)
+    integral = agg == "sum" and values.dtype.kind in "biu"
+    total = np.zeros(starts.size, dtype=np.int64 if integral else np.float64)
+    np.add.at(total, ids, values)
+    if agg == "sum":
+        return groups, total
+    mean = total / count
+    if agg == "avg":
+        return groups, mean
+    squares = np.zeros(starts.size)
+    np.add.at(squares, ids, np.square(values, dtype=np.float64))
+    return groups, np.maximum(squares / count - mean * mean, 0.0) ** 0.5
 
 
 def _result_type(agg: UserAggregate) -> ScalarType:
@@ -281,7 +339,7 @@ def apply(
     output: Sequence[tuple[str, "str | ScalarType"]] = (),
     name: Optional[str] = None,
     block_fn: Optional[
-        Callable[[dict[str, np.ndarray]], "np.ndarray | dict[str, np.ndarray]"]
+        Callable[[Planes], "np.ndarray | dict[str, np.ndarray]"]
     ] = None,
 ) -> SciArray:
     """Per-cell computation producing a new record type.
@@ -290,10 +348,10 @@ def apply(
     *output* order, or bare value for a single output).  NULL cells map to
     NULL, EMPTY to EMPTY.
 
-    *block_fn* is the vectorised form: a function from the dict of input
-    attribute planes to the output plane (single output) or a dict of
-    output planes.  Used in one numpy pass on fully dense numeric arrays;
-    sparse arrays fall back to *fn* (required in that case).
+    *block_fn* is the kernel form, used whenever it is given: a function
+    from one chunk's PRESENT values (attribute name -> 1-D plane) to the
+    output plane (single output) or a dict of output planes, each of the
+    same length.  A per-cell *fn* alone runs the per-cell loop.
     """
     if not output:
         raise SchemaError("apply needs at least one output component")
@@ -305,38 +363,39 @@ def apply(
         attributes=out_attrs,
         dimensions=array.schema.dimensions,
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_applied")
-    if block_fn is not None:
-        blocks = _dense_numeric_blocks(array)
-        if blocks is not None:
-            result = block_fn(blocks)
-            if isinstance(result, np.ndarray):
-                if len(out_attrs) != 1:
-                    raise SchemaError(
-                        "block_fn returned one plane for a multi-component "
-                        "output; return a dict of planes"
-                    )
-                result = {out_attrs[0].name: result}
-            missing = {a.name for a in out_attrs} - set(result)
-            if missing:
+    out = SciArray(
+        out_schema, name=name or f"{array.name}_applied",
+        chunk_shape=array.chunk_shape,
+    )
+    if block_fn is None:
+        for coords, cell in array.cells():
+            if cell is None:
+                out.set(coords, None)
+                continue
+            result = fn(cell)
+            if len(out_attrs) == 1 and not isinstance(result, tuple):
+                result = (result,)
+            out.set(coords, result)
+        return out
+
+    def kernel(chunk, present, n, target):
+        if not n:
+            return
+        result = block_fn(_present_planes(chunk, present))
+        if not isinstance(result, Mapping):
+            if len(out_attrs) != 1:
                 raise SchemaError(
-                    f"block_fn output missing planes {sorted(missing)}"
+                    "block_fn returned one plane for a multi-component "
+                    "output; return a dict of planes"
                 )
-            out.set_region(tuple([1] * array.ndim), result)
-            return out
-        if fn is None:
-            raise SchemaError(
-                "array is not fully dense; supply a per-cell fn"
-            )
-    for coords, cell in array.cells():
-        if cell is None:
-            out.set(coords, None)
-            continue
-        result = fn(cell)
-        if len(out_attrs) == 1 and not isinstance(result, tuple):
-            result = (result,)
-        out.set(coords, result)
-    return out
+            result = {out_attrs[0].name: result}
+        missing = {a.name for a in out_attrs} - set(result)
+        if missing:
+            raise SchemaError(f"block_fn output missing planes {sorted(missing)}")
+        for a in out_attrs:
+            target.data[a.name][present] = _checked("block_fn", result[a.name], n)
+
+    return _map_chunks(array, out, kernel)
 
 
 def project(
@@ -351,13 +410,16 @@ def project(
         attributes=out_attrs,
         dimensions=array.schema.dimensions,
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_proj")
-    for coords, cell in array.cells():
-        if cell is None:
-            out.set_unchecked(coords, None)
-        else:
-            out.set_unchecked(coords, tuple(getattr(cell, a) for a in attrs))
-    return out
+    out = SciArray(
+        out_schema, name=name or f"{array.name}_proj",
+        chunk_shape=array.chunk_shape,
+    )
+
+    def kernel(chunk, present, n, target):
+        for a in attrs:
+            target.data[a][...] = chunk.data[a]
+
+    return _map_chunks(array, out, kernel)
 
 
 def regrid(
@@ -371,8 +433,9 @@ def regrid(
     input block ``[(i-1)*f+1 .. i*f]`` per dimension.
 
     This is the canonical "regrid" the paper names as the operation science
-    users actually want (Section 2.3).  A vectorised numpy path handles
-    fully dense numeric arrays; the general path handles sparse/NULL data.
+    users actually want (Section 2.3).  Blocks cut short by the array's
+    edge aggregate the cells they hold; blocks with no PRESENT cell are
+    EMPTY.
     """
     if len(factors) != array.ndim:
         raise SchemaError(
@@ -382,10 +445,9 @@ def regrid(
         raise SchemaError("regrid factors must be >= 1")
     aggregate_fn = _resolve_aggregate(agg)
     attr_name = attr or array.attr_names[0]
-    attr_obj = array.schema.attribute(attr_name)
+    array.schema.attribute(attr_name)  # validates
 
-    hw = array.bounds
-    out_sizes = [(h + f - 1) // f for h, f in zip(hw, factors)]
+    out_sizes = tuple((h + f - 1) // f for h, f in zip(array.bounds, factors))
     out_schema = ArraySchema(
         name=name or f"{array.schema.name}_regrid",
         attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
@@ -396,45 +458,10 @@ def regrid(
     )
     out = SciArray(out_schema, name=name or f"{array.name}_regrid")
 
-    dense = (
-        isinstance(attr_obj.type, ScalarType)
-        and attr_obj.type.numpy_dtype != object
-        and array.count_present() == int(np.prod(hw))
-        and aggregate_fn.name in ("sum", "avg", "min", "max", "count")
-        and all(h % f == 0 for h, f in zip(hw, factors))
+    return _grouped(
+        array, out, aggregate_fn, attr_name, out_sizes,
+        lambda coords: [(c - 1) // f for c, f in zip(coords, factors)],
     )
-    if dense and all(h > 0 for h in hw):
-        if aggregate_fn.name == "count":
-            data = np.full(out_sizes, int(np.prod(factors)), dtype=np.int64)
-        else:
-            block = array.region(
-                tuple([1] * array.ndim), hw, attr=attr_name, fill=0
-            )
-            # Fold each dimension: reshape to (..., out, factor, ...), reduce.
-            data = np.asarray(block, dtype=np.float64)
-            for d, f in enumerate(factors):
-                new_shape = (
-                    data.shape[:d] + (data.shape[d] // f, f) + data.shape[d + 1 :]
-                )
-                data = data.reshape(new_shape)
-                reducer = {
-                    "sum": np.sum, "avg": np.mean, "min": np.min, "max": np.max
-                }[aggregate_fn.name]
-                data = reducer(data, axis=d + 1)
-        out.set_region(tuple([1] * out.ndim), {aggregate_fn.name: data})
-        return out
-
-    groups: dict[Coords, Any] = {}
-    seeded: set[Coords] = set()
-    for coords, cell in array.cells(include_null=False):
-        key = tuple((c - 1) // f + 1 for c, f in zip(coords, factors))
-        if key not in seeded:
-            groups[key] = aggregate_fn.initial()
-            seeded.add(key)
-        groups[key] = aggregate_fn.transition(groups[key], getattr(cell, attr_name))
-    for key, state in groups.items():
-        out.set(key, aggregate_fn.final(state))
-    return out
 
 
 register_operator("filter", filter)

@@ -3,15 +3,21 @@
 Every binding (the textual parser, the Python fluent binding, and any
 future MATLAB/IDL-style frontend) produces these nodes; the planner and
 executor consume nothing else.  Nodes are immutable values with structural
-equality, so the planner's rewrites are easy to test.
+equality, so the planner's rewrites are easy to test.  Predicate semantics
+live here too: a conjunction compiles once into every form its consumers
+take (:class:`CompiledPredicate`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+import operator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Mapping, Optional, Sequence
 
-from ..core.errors import PlanError
+import numpy as np
+
+from ..core.errors import PlanError, UnknownComponentError
 
 __all__ = [
     "Node",
@@ -20,6 +26,8 @@ __all__ = [
     "DimPredicate",
     "AttrPredicate",
     "PredicateConjunction",
+    "CompiledPredicate",
+    "Interval",
     "OpNode",
     "DefineNode",
     "CreateNode",
@@ -100,42 +108,6 @@ class AttrPredicate(Node):
         if self.op not in COMPARISONS:
             raise PlanError(f"unknown attribute comparison {self.op!r}")
 
-    def to_callable(self):
-        attr, op, value = self.attr, self.op, self.value
-        ops = {
-            "=": lambda a: a == value,
-            "!=": lambda a: a != value,
-            "<": lambda a: a < value,
-            "<=": lambda a: a <= value,
-            ">": lambda a: a > value,
-            ">=": lambda a: a >= value,
-        }
-        test = ops[op]
-        return lambda cell: test(getattr(cell, attr))
-
-    def bounds(self) -> Optional[tuple[Any, Any, bool, bool]]:
-        """The value interval this term admits: ``(lo, hi, lo_open, hi_open)``.
-
-        ``None`` bounds are unbounded sides.  Returns ``None`` (no interval)
-        for ``!=`` — which excludes a point rather than bounding a range —
-        and for non-numeric comparison values, where interval reasoning
-        over min/max statistics is not meaningful.  The planner's
-        chunk-skipping analysis (:mod:`repro.query.stats`) builds its
-        per-attribute ranges from these.
-        """
-        if self.op == "!=" or isinstance(self.value, bool):
-            return None
-        if not isinstance(self.value, (int, float)):
-            return None
-        v = self.value
-        return {
-            "=": (v, v, False, False),
-            "<": (None, v, False, True),
-            "<=": (None, v, False, False),
-            ">": (v, None, True, False),
-            ">=": (v, None, False, False),
-        }[self.op]
-
 
 @dataclass(frozen=True)
 class PredicateConjunction(Node):
@@ -159,38 +131,156 @@ class PredicateConjunction(Node):
     def attr_terms(self) -> tuple[AttrPredicate, ...]:
         return tuple(t for t in self.terms if isinstance(t, AttrPredicate))
 
-    def dims_condition(self) -> dict:
-        """Compile dimension terms to Subsample's predicate mapping.
-
-        Multiple conditions on one dimension intersect (the conjunction).
-        """
-        out: dict[str, Any] = {}
-        for term in self.dim_terms:
-            cond = term.to_condition()
-            if term.dim not in out:
-                out[term.dim] = cond
-            else:
-                out[term.dim] = _intersect(out[term.dim], cond)
-        return out
-
-    def attrs_callable(self):
-        tests = [t.to_callable() for t in self.attr_terms]
-        return lambda cell: all(t(cell) for t in tests)
+    @cached_property
+    def compiled(self) -> "CompiledPredicate":
+        """This conjunction compiled once for every consumer."""
+        return CompiledPredicate(self)
 
 
-def _intersect(a, b):
-    """Intersect two DimCondition forms into a callable."""
+@dataclass(frozen=True)
+class Interval:
+    """A (possibly half-open, possibly unbounded) numeric interval."""
 
-    def admit(cond):
-        if isinstance(cond, tuple):
-            lo, hi = cond
-            return lambda v: (lo is None or v >= lo) and (hi is None or v <= hi)
-        if isinstance(cond, int):
-            return lambda v: v == cond
-        return cond
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
 
-    fa, fb = admit(a), admit(b)
-    return lambda v: fa(v) and fb(v)
+    def intersect(self, other: "Interval") -> "Interval":
+        lo, lo_open = self.lo, self.lo_open
+        if other.lo is not None and (lo is None or other.lo > lo):
+            lo, lo_open = other.lo, other.lo_open
+        elif other.lo is not None and other.lo == lo:
+            lo_open = lo_open or other.lo_open
+        hi, hi_open = self.hi, self.hi_open
+        if other.hi is not None and (hi is None or other.hi < hi):
+            hi, hi_open = other.hi, other.hi_open
+        elif other.hi is not None and other.hi == hi:
+            hi_open = hi_open or other.hi_open
+        return Interval(lo, hi, lo_open, hi_open)
+
+    @property
+    def empty(self) -> bool:
+        """No value at all satisfies this interval."""
+        if self.lo is None or self.hi is None:
+            return False
+        if self.lo > self.hi:
+            return True
+        return self.lo == self.hi and (self.lo_open or self.hi_open)
+
+    def excludes_range(self, vmin: float, vmax: float) -> bool:
+        """True when **no** value in ``[vmin, vmax]`` can satisfy this
+        interval — the bucket-pruning test.  Conservative by design:
+        any doubt (including NaN comparisons) answers False."""
+        if self.empty:
+            return True
+        try:
+            if self.lo is not None and (
+                vmax < self.lo or (self.lo_open and vmax <= self.lo)
+            ):
+                return True
+            if self.hi is not None and (
+                vmin > self.hi or (self.hi_open and vmin >= self.hi)
+            ):
+                return True
+        except TypeError:  # incomparable types: never prune
+            return False
+        return False
+
+    def __str__(self) -> str:
+        lo = "-inf" if self.lo is None else f"{self.lo:g}"
+        hi = "+inf" if self.hi is None else f"{self.hi:g}"
+        return ("(" if self.lo_open or self.lo is None else "[") + \
+            f"{lo}, {hi}" + (")" if self.hi_open or self.hi is None else "]")
+
+
+class CompiledPredicate:
+    """A :class:`PredicateConjunction` compiled once into the forms its
+    consumers take:
+
+    * :meth:`mask` — the filter kernel's test over one chunk's PRESENT
+      values (attribute terms only; NULL and EMPTY cells never reach it);
+    * :attr:`attr_ranges` — the per-attribute :class:`Interval` the
+      planner prunes buckets with.  Only numeric range terms contribute
+      (not ``!=``), so it bounds a superset of the matches;
+    * :meth:`window` — the closed per-dimension box a grid scan reads;
+    * :attr:`dims_condition` — the mapping Subsample takes.
+    """
+
+    def __init__(self, pred: PredicateConjunction) -> None:
+        self._attr_tests = [(t.attr, _COMPARE[t.op], t.value) for t in pred.attr_terms]
+        self.attr_ranges: dict[str, Interval] = {}
+        for t in pred.attr_terms:
+            v = t.value
+            if t.op == "!=" or isinstance(v, bool) or not isinstance(v, (int, float)):
+                continue
+            iv = Interval(
+                v if t.op in ("=", ">", ">=") else None,
+                v if t.op in ("=", "<", "<=") else None,
+                t.op == ">", t.op == "<",
+            )
+            known = self.attr_ranges.get(t.attr)
+            self.attr_ranges[t.attr] = iv if known is None else known.intersect(iv)
+        self._dim_conds = [(t.dim, t.to_condition()) for t in pred.dim_terms]
+        self.dims_condition: dict[str, Any] = {}
+        for dim, cond in self._dim_conds:  # conditions on one dimension intersect
+            if dim in self.dims_condition:
+                both = (self.dims_condition[dim], cond)
+                cond = lambda v, cs=both: all(_admits(c, v) for c in cs)
+            self.dims_condition[dim] = cond
+
+    def mask(self, planes: Mapping[str, np.ndarray]) -> np.ndarray:
+        """Which cells pass, given each attribute's PRESENT values as
+        equal-length 1-D planes."""
+        keep = np.ones(len(next(iter(planes.values()))), dtype=bool)
+        for attr, test, value in self._attr_tests:
+            if attr not in planes:
+                raise UnknownComponentError(f"cell has no component {attr!r}")
+            # A 0-d array compares at the value's own precision (a bare
+            # float would be cast to a float32 plane's), as per-cell does.
+            keep &= test(planes[attr], np.asarray(value))
+        return keep
+
+    def window(self, dimensions: Sequence[Any]) -> Optional[tuple[tuple, tuple]]:
+        """The closed ``(lo, hi)`` box of a pure-range dimension predicate
+        over *dimensions*, or ``None`` when the predicate needs per-cell
+        evaluation (even/odd/!=, attribute terms) or an unbounded
+        dimension has no upper constraint."""
+        if self._attr_tests:
+            return None
+        names = [d.name for d in dimensions]
+        lo, hi = {}, {}
+        for dim, cond in self._dim_conds:
+            if dim not in names:
+                raise PlanError(
+                    f"array has no dimension {dim!r} "
+                    f"(dimensions: {', '.join(names)})"
+                )
+            if callable(cond):
+                return None
+            low, high = (cond, cond) if isinstance(cond, int) else cond
+            if low is not None:
+                lo[dim] = max(lo.get(dim, low), low)
+            if high is not None:
+                hi[dim] = min(hi.get(dim, high), high)
+        upper = tuple(hi.get(d.name, d.size) for d in dimensions)
+        if None in upper:
+            return None
+        return tuple(lo.get(d.name, 1) for d in dimensions), upper
+
+
+_COMPARE = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _admits(cond: Any, v: int) -> bool:
+    """Whether dimension value *v* satisfies one DimCondition."""
+    if callable(cond):
+        return cond(v)
+    lo, hi = (cond, cond) if isinstance(cond, int) else cond
+    return (lo is None or v >= lo) and (hi is None or v <= hi)
 
 
 @dataclass(frozen=True)

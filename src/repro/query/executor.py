@@ -475,8 +475,11 @@ class Executor:
 
         try:
             if op == "subsample" and first is not None and len(args) == 1:
-                window = self._predicate_window(
-                    node.option("predicate"), first
+                pred = node.option("predicate")
+                window = (
+                    pred.compiled.window(first.schema.dimensions)
+                    if isinstance(pred, PredicateConjunction)
+                    else None
                 )
                 if window is not None:
                     # The window is a pruned (R-tree), metered gather of
@@ -514,52 +517,6 @@ class Executor:
         ]
         return get_operator(op)(*local, **kwargs)
 
-    def _predicate_window(
-        self, pred: Any, darr: Any
-    ) -> Optional[tuple[tuple, tuple]]:
-        """Compile a pure-range dimension predicate to a scan window.
-
-        Returns ``None`` when the predicate needs per-cell evaluation
-        (even/odd/!=, attribute terms, callables) or the window cannot
-        be closed (an unbounded dimension with no upper constraint).
-        """
-        if not isinstance(pred, PredicateConjunction):
-            return None
-        if pred.attr_terms:
-            return None
-        dims = list(darr.schema.dimensions)
-        names = [d.name for d in dims]
-        lo: dict[str, int] = {}
-        hi: dict[str, int] = {}
-        for term in pred.dim_terms:
-            if term.dim not in names:
-                raise PlanError(
-                    f"array {darr.name!r} has no dimension {term.dim!r} "
-                    f"(dimensions: {', '.join(names)})"
-                )
-            if term.op in ("even", "odd", "!="):
-                return None
-            value = term.value
-            if term.op == "=":
-                lo[term.dim] = max(lo.get(term.dim, value), value)
-                hi[term.dim] = min(hi.get(term.dim, value), value)
-            elif term.op == "<":
-                hi[term.dim] = min(hi.get(term.dim, value - 1), value - 1)
-            elif term.op == "<=":
-                hi[term.dim] = min(hi.get(term.dim, value), value)
-            elif term.op == ">":
-                lo[term.dim] = max(lo.get(term.dim, value + 1), value + 1)
-            elif term.op == ">=":
-                lo[term.dim] = max(lo.get(term.dim, value), value)
-        lo_coords, hi_coords = [], []
-        for d in dims:
-            lo_coords.append(lo.get(d.name, 1))
-            upper = hi.get(d.name, d.size)
-            if upper is None:  # unbounded dim, no upper constraint
-                return None
-            hi_coords.append(upper)
-        return tuple(lo_coords), tuple(hi_coords)
-
     # -- span annotation ---------------------------------------------------------
 
     def _annotate_local(self, sp, args: list, value: Any) -> None:
@@ -587,13 +544,22 @@ class Executor:
             return {"predicate": _as_dim_mapping(pred)}
         if op == "filter":
             pred = node.option("predicate")
-            fn = _as_cell_callable(pred)
+            if isinstance(pred, PredicateConjunction):
+                # The compiled mask sees one chunk's PRESENT cells per call.
+                kwarg, test, seen = "block_predicate", pred.compiled.mask, len
+            elif callable(pred):
+                kwarg, test, seen = "predicate", pred, lambda _: 1
+            else:
+                raise PlanError(
+                    f"cannot use {type(pred).__name__} as a filter predicate"
+                )
 
-            def counting(cell, _fn=fn, _res=result):
-                _res.cells_examined += 1
-                return _fn(cell)
+            def counting(arg, _res=result):
+                passed = test(arg)
+                _res.cells_examined += seen(passed)
+                return passed
 
-            return {"predicate": counting}
+            return {kwarg: counting}
         if op == "aggregate":
             return {
                 "group_dims": list(node.option("group_dims")),
@@ -682,15 +648,7 @@ def _estimated_summary(physical: Optional[PhysicalOp]) -> Optional[dict]:
 
 def _as_dim_mapping(pred: Any) -> dict:
     if isinstance(pred, PredicateConjunction):
-        return pred.dims_condition()
+        return pred.compiled.dims_condition
     if isinstance(pred, dict):
         return pred
     raise PlanError(f"cannot use {type(pred).__name__} as a subsample predicate")
-
-
-def _as_cell_callable(pred: Any):
-    if isinstance(pred, PredicateConjunction):
-        return pred.attrs_callable()
-    if callable(pred):
-        return pred
-    raise PlanError(f"cannot use {type(pred).__name__} as a filter predicate")

@@ -42,7 +42,7 @@ from .ast import (
     PredicateConjunction,
     SelectNode,
 )
-from .stats import ArrayDescription, Interval, attr_intervals, intersect_ranges
+from .stats import ArrayDescription, Interval, intersect_ranges
 
 __all__ = [
     "Planner",
@@ -283,7 +283,7 @@ class Planner:
         if op == "filter" and cfg.enable_pruning:
             pred = node.option("predicate")
             if isinstance(pred, PredicateConjunction):
-                own_ranges = attr_intervals(pred)
+                own_ranges = pred.compiled.attr_ranges
         if op == "filter":
             child_ranges = intersect_ranges(inherited, own_ranges)
         elif op == "subsample":

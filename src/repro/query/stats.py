@@ -10,8 +10,9 @@ for the bucketed store of Section 2.8:
   attribute, built by the storage manager when a bucket is written (the
   bucket is in memory at exactly that moment, so stats cost no extra I/O)
   plus a packed **occupancy footprint** of the bucket's non-empty cells.
-* :class:`Interval` / :func:`attr_intervals` — conservative interval
-  analysis over a filter's :class:`~repro.query.ast.PredicateConjunction`.
+* :func:`intersect_ranges` — conjunction of the per-attribute
+  :class:`~repro.query.ast.Interval` maps a filter's compiled predicate
+  (:attr:`~repro.query.ast.CompiledPredicate.attr_ranges`) implies.
 * :class:`ArrayStats` / :class:`ArrayDescription` — the aggregated view
   the planner's cost model estimates from.
 
@@ -35,7 +36,7 @@ from typing import Any, Iterable, Optional
 
 import numpy as np
 
-from .ast import AttrPredicate, PredicateConjunction
+from .ast import Interval
 
 __all__ = [
     "Interval",
@@ -43,89 +44,10 @@ __all__ = [
     "BucketStats",
     "ArrayStats",
     "ArrayDescription",
-    "attr_intervals",
     "intersect_ranges",
 ]
 
 Coords = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A (possibly half-open, possibly unbounded) numeric interval."""
-
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    lo_open: bool = False
-    hi_open: bool = False
-
-    def intersect(self, other: "Interval") -> "Interval":
-        lo, lo_open = self.lo, self.lo_open
-        if other.lo is not None and (lo is None or other.lo > lo):
-            lo, lo_open = other.lo, other.lo_open
-        elif other.lo is not None and other.lo == lo:
-            lo_open = lo_open or other.lo_open
-        hi, hi_open = self.hi, self.hi_open
-        if other.hi is not None and (hi is None or other.hi < hi):
-            hi, hi_open = other.hi, other.hi_open
-        elif other.hi is not None and other.hi == hi:
-            hi_open = hi_open or other.hi_open
-        return Interval(lo, hi, lo_open, hi_open)
-
-    @property
-    def empty(self) -> bool:
-        """No value at all satisfies this interval."""
-        if self.lo is None or self.hi is None:
-            return False
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
-
-    def excludes_range(self, vmin: float, vmax: float) -> bool:
-        """True when **no** value in ``[vmin, vmax]`` can satisfy this
-        interval — the bucket-pruning test.  Conservative by design:
-        any doubt (including NaN comparisons) answers False."""
-        if self.empty:
-            return True
-        try:
-            if self.lo is not None and (
-                vmax < self.lo or (self.lo_open and vmax <= self.lo)
-            ):
-                return True
-            if self.hi is not None and (
-                vmin > self.hi or (self.hi_open and vmin >= self.hi)
-            ):
-                return True
-        except TypeError:  # incomparable types: never prune
-            return False
-        return False
-
-    def __str__(self) -> str:
-        lo = "-inf" if self.lo is None else f"{self.lo:g}"
-        hi = "+inf" if self.hi is None else f"{self.hi:g}"
-        return ("(" if self.lo_open or self.lo is None else "[") + \
-            f"{lo}, {hi}" + (")" if self.hi_open or self.hi is None else "]")
-
-
-def attr_intervals(pred: PredicateConjunction) -> dict[str, Interval]:
-    """Per-attribute value intervals implied by a conjunction.
-
-    Only range-shaped terms contribute (``=``, ``<``, ``<=``, ``>``,
-    ``>=`` with numeric values); ``!=`` and non-numeric comparisons are
-    skipped, which is conservative — the derived interval is a superset
-    of the true match set, so pruning against it never drops a match.
-    """
-    out: dict[str, Interval] = {}
-    for term in pred.attr_terms:
-        if not isinstance(term, AttrPredicate):
-            continue
-        b = term.bounds()
-        if b is None:
-            continue
-        lo, hi, lo_open, hi_open = b
-        iv = Interval(lo, hi, lo_open, hi_open)
-        out[term.attr] = out[term.attr].intersect(iv) if term.attr in out else iv
-    return out
 
 
 def intersect_ranges(

@@ -1,7 +1,7 @@
-"""Cross-checks of the engine's vectorised fast paths on SS-DB data.
+"""Cross-checks of the engine's vectorised paths on SS-DB data.
 
-The dense numpy routes (block apply/filter, dense sjoin, dense
-remove_dimension, vectorised aggregate_all) must agree with the generic
+The chunk kernels (block apply/filter, aggregate_all) and the dense numpy
+routes (dense sjoin, dense remove_dimension) must agree with the generic
 cell-by-cell paths on the same data, including at sizes that don't divide
 evenly into chunks or regrid factors.
 """
@@ -61,19 +61,23 @@ class TestBlockPathsVsGenericPaths:
             ops.filter(arr, block_predicate=lambda b: np.array([True]))
 
     def test_block_paths_fall_back_on_sparse(self):
-        from repro import SchemaError
-
+        # Block forms run on sparse arrays too, seeing PRESENT values only,
+        # and agree with the per-cell forms on the same array.
         schema = define_array("S", {"v": "float"}, ["x"])
         sparse = schema.create("s", [10])
         sparse[3] = 1.0
-        # block-only on sparse data is an error, not a silent wrong answer
-        with pytest.raises(SchemaError):
-            ops.filter(sparse, block_predicate=lambda b: b["v"] > 0)
-        # with a cell predicate supplied, the fallback engages
-        out = ops.filter(
-            sparse, lambda c: c.v > 0, block_predicate=lambda b: b["v"] > 0
+        sparse[5] = -2.0
+        sparse.set_null(7)
+        blockwise = ops.filter(sparse, block_predicate=lambda b: b["v"] > 0)
+        cellwise = ops.filter(sparse, lambda c: c.v > 0)
+        assert blockwise.content_equal(cellwise)
+        assert blockwise[3].v == 1.0 and blockwise[5] is None
+        applied = ops.apply(
+            sparse, output=[("w", "float")], block_fn=lambda b: b["v"] * 3 + 1
         )
-        assert out[3].v == 1.0
+        assert applied.content_equal(
+            ops.apply(sparse, lambda c: c.v * 3 + 1, [("w", "float")])
+        )
 
     def test_aggregate_all_dense_vs_sparse_paths(self):
         arr = self.make(shape=(11, 11), seed=2)

@@ -1,5 +1,6 @@
 """Validation tests for parse-tree node construction (Section 2.4)."""
 
+import numpy as np
 import pytest
 
 from repro import PlanError
@@ -11,7 +12,6 @@ from repro.query import (
     PredicateConjunction,
     ArrayRef,
 )
-from repro.query.ast import _intersect
 
 
 class TestDimPredicate:
@@ -44,11 +44,9 @@ class TestDimPredicate:
 
 class TestAttrPredicate:
     def test_to_callable(self):
-        from repro import Cell
-
-        pred = AttrPredicate("v", ">", 3).to_callable()
-        assert pred(Cell(("v",), (4,)))
-        assert not pred(Cell(("v",), (3,)))
+        # A single term's compiled mask over a chunk's PRESENT values.
+        mask = PredicateConjunction((AttrPredicate("v", ">", 3),)).compiled.mask
+        assert mask({"v": np.array([4, 3])}).tolist() == [True, False]
 
     def test_unknown_op(self):
         with pytest.raises(PlanError):
@@ -71,25 +69,26 @@ class TestConjunction:
         conj = PredicateConjunction(
             (DimPredicate("x", ">=", 3), DimPredicate("x", "<=", 5))
         )
-        cond = conj.dims_condition()["x"]
+        cond = conj.compiled.dims_condition["x"]
         assert callable(cond)
         assert cond(3) and cond(5)
         assert not cond(2) and not cond(6)
 
     def test_intersect_equality_and_range(self):
-        cond = _intersect(4, (None, 10))
+        conj = PredicateConjunction(
+            (DimPredicate("x", "=", 4), DimPredicate("x", "<=", 10))
+        )
+        cond = conj.compiled.dims_condition["x"]
         assert cond(4)
         assert not cond(5)
 
     def test_attrs_callable_conjunction(self):
-        from repro import Cell
-
+        # Every attribute term of the conjunction lands in one mask.
         conj = PredicateConjunction(
             (AttrPredicate("v", ">", 1), AttrPredicate("v", "<", 5))
         )
-        pred = conj.attrs_callable()
-        assert pred(Cell(("v",), (3,)))
-        assert not pred(Cell(("v",), (7,)))
+        mask = conj.compiled.mask
+        assert mask({"v": np.array([3, 7])}).tolist() == [True, False]
 
 
 class TestOpNode:

@@ -26,7 +26,7 @@ from repro.database import SciDB
 from repro.query import PlannerConfig
 from repro.query.binding import array, attr, dim
 from repro.query.cost import CostModel, DEFAULT_MS_PER_CELL
-from repro.query.stats import Interval, attr_intervals
+from repro.query.stats import Interval
 from repro.query.ast import AttrPredicate, PredicateConjunction
 from repro.storage.loader import LoadRecord
 from repro.storage.manager import PersistentArray
@@ -102,7 +102,7 @@ class TestIntervals:
         pred = PredicateConjunction(
             (AttrPredicate("v", ">", 2.0), AttrPredicate("v", "<=", 7.0))
         )
-        iv = attr_intervals(pred)["v"]
+        iv = pred.compiled.attr_ranges["v"]
         assert (iv.lo, iv.hi, iv.lo_open, iv.hi_open) == (2.0, 7.0, True, False)
         assert iv.excludes_range(0.0, 2.0)  # hi == open lo: no overlap
         assert not iv.excludes_range(0.0, 2.5)
@@ -112,13 +112,13 @@ class TestIntervals:
         pred = PredicateConjunction(
             (AttrPredicate("v", "!=", 3.0), AttrPredicate("tag", "=", "hot"))
         )
-        assert attr_intervals(pred) == {}
+        assert pred.compiled.attr_ranges == {}
 
     def test_contradictory_conjunction_is_empty(self):
         pred = PredicateConjunction(
             (AttrPredicate("v", ">", 5.0), AttrPredicate("v", "<", 1.0))
         )
-        assert attr_intervals(pred)["v"].empty
+        assert pred.compiled.attr_ranges["v"].empty
 
 
 # -- cost model ---------------------------------------------------------------
