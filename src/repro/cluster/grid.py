@@ -83,9 +83,9 @@ from ..core.errors import (
     StorageError,
     TransientIOError,
 )
-from ..core.ops import structural as structural_ops
+from ..core.ops import content, structural as structural_ops
 from ..core.schema import ArraySchema
-from ..core.udf import UserAggregate, get_aggregate
+from ..core.udf import UserAggregate
 from ..core.uncertainty import PositionUncertainty
 from ..obs import tracing
 from ..obs.recorder import emit as _flight_emit
@@ -132,15 +132,21 @@ def _wants_partial(on_unavailable: str) -> bool:
         )
     return on_unavailable == "partial"
 
-#: Merge functions for algebraic built-in aggregates (state x state -> state).
-_ALGEBRAIC_MERGES: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": lambda a, b: a + b,
-    "count": lambda a, b: a + b,
-    "avg": lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    "min": lambda a, b: b if a is None else (a if b is None else min(a, b)),
-    "max": lambda a, b: b if a is None else (a if b is None else max(a, b)),
-    "stdev": lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
-}
+
+def _answer(
+    out: SciArray, partial: bool, partitions: int, missing: list
+) -> "SciArray | DegradedResult":
+    """*out*, or with *partial* set, *out* with its coverage report."""
+    if not partial:
+        return out
+    return DegradedResult(out, CoverageReport(partitions, tuple(missing)))
+
+
+def _merge_into(out: SciArray, part: SciArray) -> None:
+    """Copy *part*'s cells into *out* (same schema, any chunk grid) chunk
+    by chunk; cells *out* already holds win."""
+    for chunk in part.chunks():
+        out.set_region(chunk.origin, chunk.data, state=chunk.state)
 
 
 @dataclass(frozen=True)
@@ -494,12 +500,13 @@ class DistributedArray:
         deadline: Optional[Deadline],
         buf: Optional[MeterBuffer] = None,
         attr_ranges: Optional[dict] = None,
-    ) -> list[tuple[Coords, Optional[Cell]]]:
+    ) -> SciArray:
         """One read attempt of partition *p* against a single *site*.
 
         Sleeps the modeled fetch latency plus any injected slow-read
-        penalty (deadline-aware slices), then scans the site's partition
-        restricted to coordinates whose primary is *p*.  Metering goes to
+        penalty (deadline-aware slices), then reads the site's partition
+        as one chunked array and keeps the cells whose primary is *p*,
+        checking the deadline at every chunk.  Metering goes to
         the grid's ledger/counters directly, or into *buf* when this is a
         hedged attempt whose meters must stay private until it wins.
 
@@ -526,45 +533,35 @@ class DistributedArray:
                 wait_ms, deadline,
                 what=f"fetch of partition {p} from node {site}",
             )
-        # Per-cell metering exists so the injector's transfer clock
-        # ticks *during* the scan — a scheduled kill can land
-        # mid-read and exercise the partial-read-discard path.
-        # Without an injector the clock has no observer, and the
-        # per-cell ledger/counter locks become the contention
-        # hot-spot under parallel fan-out — so gathers are metered
-        # as one bulk transfer per partition (same total bytes).
-        meter_per_cell = per_cell_reason is not None and faults is not None
         if buf is None:
             record = grid.ledger.record
             bump = node.counters.add
         else:
             record = buf.record
             bump = lambda name, n=1: buf.counter(node, name, n)  # noqa: E731
-        cells: list[tuple[Coords, Optional[Cell]]] = []
-        seen = 0
-        for coords, cell in node.scan_partition(
-            self.name, window, attr_ranges
-        ):
-            seen += 1
-            if deadline is not None and seen % 64 == 0:
-                deadline.check(f"scan of partition {p} on node {site}")
-            if self.partitioner.site_of(coords) != p:
-                continue  # replica of another partition
-            if meter_per_cell:
+        what = f"scan of partition {p} on node {site}"
+        part = self.partitioner.split(
+            node.scan_partition(self.name, window, attr_ranges),
+            visit=lambda: deadline is not None and deadline.check(what),
+        ).get(p, SciArray(self.schema, name=self.name))
+        n = part.count_occupied()
+        if per_cell_reason is not None and faults is not None:
+            # Per-cell metering exists so the injector's transfer clock
+            # ticks cell by cell: a scheduled kill can land mid-transfer
+            # and exercise the partial-read-discard path.  Without an
+            # injector the clock has no observer, and per-cell ledger and
+            # counter locks would be the hot spot under parallel fan-out,
+            # so a gather is one bulk transfer per partition (same bytes).
+            for _ in range(n):
+                node.check_alive()
                 bump("cells_scanned")
-                record(
-                    site, COORDINATOR, self.cell_nbytes, per_cell_reason
-                )
-            cells.append((coords, cell))
-        if not meter_per_cell:
-            # Local (un-gathered) reads count as scans too.
-            bump("cells_scanned", len(cells))
-            if per_cell_reason is not None and cells:
-                record(
-                    site, COORDINATOR,
-                    len(cells) * self.cell_nbytes, per_cell_reason,
-                )
-        return cells
+                record(site, COORDINATOR, self.cell_nbytes, per_cell_reason)
+            return part
+        # Local (un-gathered) reads count as scans too.
+        bump("cells_scanned", n)
+        if per_cell_reason is not None and n:
+            record(site, COORDINATOR, n * self.cell_nbytes, per_cell_reason)
+        return part
 
     def _hedge_backup_site(
         self, chain: tuple[int, ...], primary: int
@@ -592,7 +589,7 @@ class DistributedArray:
         attempt: int,
         deadline: Optional[Deadline],
         attr_ranges: Optional[dict] = None,
-    ) -> tuple[int, list[tuple[Coords, Optional[Cell]]]]:
+    ) -> tuple[int, SciArray]:
         """Read partition *p* from *site*, hedging against *backup*.
 
         The primary attempt runs in a helper thread, metering into a
@@ -613,14 +610,14 @@ class DistributedArray:
         def run(attempt_site: int) -> None:
             buf = MeterBuffer()
             try:
-                cells = self._attempt_read(
+                part = self._attempt_read(
                     attempt_site, p, window, per_cell_reason,
                     attempt, deadline, buf, attr_ranges,
                 )
             except BaseException as exc:  # classified by the consumer
                 results.put((attempt_site, None, exc))
             else:
-                results.put((attempt_site, (cells, buf), None))
+                results.put((attempt_site, (part, buf), None))
 
         threading.Thread(
             target=run, args=(site,),
@@ -659,13 +656,13 @@ class DistributedArray:
                 )
             attempt_site, payload, exc = got
             if exc is None:
-                cells, buf = payload
+                part, buf = payload
                 buf.commit(grid)
                 grid.breakers[attempt_site].record_success()
                 if attempt_site != site:
                     grid._count_resilience("hedge_wins")
                     tracing.add_current("hedge_wins", 1)
-                return attempt_site, cells
+                return attempt_site, part
             if isinstance(exc, DeadlineExceededError):
                 grid.breakers[attempt_site].abandon()
                 deadline_exc = exc
@@ -699,7 +696,7 @@ class DistributedArray:
         per_cell_reason: Optional[str] = None,
         degraded: bool = False,
         attr_ranges: Optional[dict] = None,
-    ) -> tuple[Optional[int], Optional[list[tuple[Coords, Optional[Cell]]]]]:
+    ) -> tuple[Optional[int], Optional[SciArray]]:
         """Read logical partition *p* from the first surviving replica,
         under the grid's :class:`~repro.cluster.resilience.ResiliencePolicy`.
 
@@ -715,11 +712,11 @@ class DistributedArray:
         delay.  A node dying *mid-scan* discards the partial read and
         fails over; transient read faults are absorbed the same way.
 
-        Returns ``(serving_site, cells)`` where cells are restricted to
-        coordinates whose primary is *p* — which both deduplicates
-        replicas and makes per-partition reads exactly-once for
-        aggregation.  With ``per_cell_reason`` set, each returned cell is
-        metered as a transfer from the serving site to the coordinator.
+        Returns ``(serving_site, part)``, the cells whose primary is *p* as
+        one chunked array — which both deduplicates replicas and makes
+        per-partition reads exactly-once for aggregation.  With
+        ``per_cell_reason`` set, each returned cell is metered as a
+        transfer from the serving site to the coordinator.
 
         Raises :class:`QuorumError` when the chain is exhausted, or
         returns ``(None, None)`` instead if *degraded* is True;
@@ -753,12 +750,12 @@ class DistributedArray:
                 )
                 try:
                     if backup is not None:
-                        served, cells = self._hedged_attempt(
+                        served, part = self._hedged_attempt(
                             site, backup, p, window, per_cell_reason,
                             attempt, deadline, attr_ranges,
                         )
                     else:
-                        cells = self._attempt_read(
+                        part = self._attempt_read(
                             site, p, window, per_cell_reason,
                             attempt, deadline, attr_ranges=attr_ranges,
                         )
@@ -784,8 +781,8 @@ class DistributedArray:
                 if served != chain[0]:
                     grid.nodes[served].counters.add("failovers_served")
                 tracing.mark_current("nodes", served)
-                tracing.add_current("cells_scanned", len(cells))
-                return served, cells
+                tracing.add_current("cells_scanned", part.count_occupied())
+                return served, part
         fallback = self._dual_resolve_read(
             p, window, per_cell_reason, attr_ranges
         )
@@ -804,7 +801,7 @@ class DistributedArray:
         window: Optional[tuple[Coords, Coords]],
         per_cell_reason: Optional[str],
         attr_ranges: Optional[dict] = None,
-    ) -> Optional[tuple[int, list[tuple[Coords, Optional[Cell]]]]]:
+    ) -> Optional[tuple[int, SciArray]]:
         """Serve partition *p* from the migration's *new* homes after the
         old chain is exhausted.
 
@@ -815,7 +812,8 @@ class DistributedArray:
         same dedup rule every chain read applies), each at most once; and
         metering follows the PR-6 :class:`MeterBuffer` pattern — buffered
         per contributing site and committed all-or-nothing, so a partial
-        union scan that cannot cover the partition meters nothing.
+        union scan that cannot cover the partition meters nothing.  The
+        deadline is checked at every chunk visited.
 
         Returns ``None`` (not an error) when there is no migration or the
         new homes cannot account for every known cell of *p* — the caller
@@ -827,28 +825,29 @@ class DistributedArray:
         grid = self.grid
         deadline = current_deadline()
         buf = MeterBuffer()
-        got: dict[Coords, tuple[int, Optional[Cell]]] = {}
+        got = SciArray(self.schema, name=self.name)
+        per_site: dict[int, int] = {}
         for site in mig.new_partitioner.sites():
             node = grid.nodes[site]
             if not node.alive:
                 continue
+            what = f"dual-resolve of partition {p} on node {site}"
             try:
-                for coords, cell in node.scan_partition(
-                    self.name, window, attr_ranges
-                ):
-                    if deadline is not None and len(got) % 64 == 0:
-                        deadline.check(
-                            f"dual-resolve of partition {p} on node {site}"
-                        )
-                    if self.partitioner.site_of(coords) != p:
-                        continue  # belongs to another old partition
-                    if coords in got:
-                        continue  # already served by an earlier member
-                    if not mig.trusted(coords, site):
-                        continue  # stale resurrection: never serve it
-                    got[coords] = (site, cell)
+                part = self.partitioner.split(
+                    node.scan_partition(self.name, window, attr_ranges),
+                    visit=lambda: deadline is not None and deadline.check(what),
+                ).get(p)  # cells of old partition p only
             except (NodeFailedError, TransientIOError):
                 continue  # another member may still cover these cells
+            if part is None:
+                continue
+            for coords, _cell in part.cells():
+                if not mig.trusted(coords, site):
+                    part.delete(coords)  # stale resurrection: never serve it
+            before = got.count_occupied()
+            _merge_into(got, part)  # earlier members keep their cells
+            if got.count_occupied() > before:
+                per_site[site] = got.count_occupied() - before
         # Completeness: every cell the migration knows belongs to p (and
         # the window) must have been found, else the answer would be
         # silently partial — fall back to the ordinary failure path.
@@ -862,13 +861,10 @@ class DistributedArray:
                 for c, l, h in zip(coords, window[0], window[1])
             ):
                 continue
-            if coords not in got:
+            if not got.exists(coords):
                 return None
         # Commit the buffered accounting only now that the read is known
         # complete: per-site bulk meters plus scan counters.
-        per_site: dict[int, int] = {}
-        for site, _cell in got.values():
-            per_site[site] = per_site.get(site, 0) + 1
         for site, count in per_site.items():
             buf.counter(grid.nodes[site], "cells_scanned", count)
             if per_cell_reason is not None:
@@ -891,14 +887,11 @@ class DistributedArray:
         )
         if served is None:
             return None
-        cells = sorted(
-            ((coords, cell) for coords, (_s, cell) in got.items()),
-        )
         tracing.mark_current("nodes", served)
-        tracing.add_current("cells_scanned", len(cells))
+        tracing.add_current("cells_scanned", got.count_occupied())
         tracing.add_current("dual_reads", 1)
         grid.nodes[served].counters.add("failovers_served")
-        return served, cells
+        return served, got
 
     def _read_partitions(
         self,
@@ -908,8 +901,11 @@ class DistributedArray:
         partitions: Optional[Sequence[int]] = None,
         tolerate_deadline: bool = False,
         attr_ranges: Optional[dict] = None,
-    ) -> list[tuple[Optional[int], Optional[list[tuple[Coords, Optional[Cell]]]]]]:
-        """Fan :meth:`_read_partition` across partitions via the scheduler.
+        local: Optional[Callable[[SciArray], Any]] = None,
+    ) -> list[tuple[Optional[int], Any]]:
+        """Fan :meth:`_read_partition` across partitions via the scheduler,
+        running *local* (if given) on each partition array in the worker
+        that read it, at its serving site.
 
         Results come back in partition order regardless of which worker
         finished first, so every caller merges exactly as the serial path
@@ -925,19 +921,60 @@ class DistributedArray:
 
         def read_one(p: int) -> tuple:
             try:
-                return self._read_partition(
+                site, part = self._read_partition(
                     p, window, per_cell_reason, degraded, attr_ranges
                 )
             except DeadlineExceededError:
                 if not tolerate_deadline:
                     raise
                 return None, None
+            return site, part if part is None or local is None else local(part)
 
         return self.grid.scheduler.map(
             [(lambda p=p: read_one(p)) for p in partitions]
         )
 
     # -- reads -------------------------------------------------------------------
+
+    def _gather(
+        self,
+        window: Optional[tuple[Coords, Coords]],
+        partial: bool,
+        attr_ranges: Optional[dict],
+        name: str,
+        tolerate_deadline: bool = False,
+    ) -> tuple[SciArray, list[tuple[str, int]]]:
+        """Read every logical partition (metered as ``"gather"``) and merge
+        the partition arrays chunk by chunk, in partition order.
+
+        Returns the merged array and the partitions that could not be
+        served — always none unless *partial*, since a fully dead chain
+        raises :class:`~repro.core.errors.QuorumError` otherwise.
+        """
+        out: Optional[SciArray] = None
+        missing: list[tuple[str, int]] = []
+        for p, (_site, part) in zip(
+            self.partitions(),
+            self._read_partitions(
+                window, "gather", partial,
+                tolerate_deadline=tolerate_deadline, attr_ranges=attr_ranges,
+            ),
+        ):
+            if part is not None:
+                # Into the partitions' own chunk grid (the read's choice).
+                out = out or part.empty_like(name)
+                _merge_into(out, part)
+            elif partial:
+                missing.append((self.name, p))
+            else:
+                # Defensive: _read_partition raises before returning None
+                # on the strict path, but an error here must never be an
+                # assert — `python -O` would turn a dead chain into
+                # silent data loss.
+                raise QuorumError(
+                    f"partition {p} of {self.name!r}: no surviving replica"
+                )
+        return out or SciArray(self.schema, name=name), missing
 
     def scan(
         self,
@@ -956,23 +993,7 @@ class DistributedArray:
         every node's storage manager (chunk skipping; pruned buckets'
         occupied cells come back NULL).
         """
-        for p, (_site, cells) in zip(
-            self.partitions(),
-            self._read_partitions(
-                window, "gather", degraded, attr_ranges=attr_ranges
-            ),
-        ):
-            if cells is None:
-                if degraded:
-                    continue
-                # Defensive: _read_partition raises before returning None
-                # on the strict path, but an error here must never be an
-                # assert — `python -O` would turn a dead chain into
-                # silent data loss.
-                raise QuorumError(
-                    f"partition {p} of {self.name!r}: no surviving replica"
-                )
-            yield from cells
+        return self._gather(window, degraded, attr_ranges, self.name)[0].cells()
 
     def cell_count(self) -> int:
         """Total stored cells (replicas included) — the balance metric."""
@@ -1023,39 +1044,15 @@ class DistributedArray:
         and returns a :class:`DegradedResult` within the budget.
         """
         partial = degraded or _wants_partial(on_unavailable)
-        out = SciArray(self.schema, name=f"{self.name}_window")
-        missing: list[tuple[str, int]] = []
         with deadline_scope(deadline):
-            for p, (_site, cells) in zip(
-                self.partitions(),
-                self._read_partitions(
-                    window, "gather", partial,
-                    tolerate_deadline=_wants_partial(on_unavailable),
-                    attr_ranges=attr_ranges,
-                ),
-            ):
-                if cells is None:
-                    missing.append((self.name, p))
-                    continue
-                for coords, cell in cells:
-                    out.set_unchecked(
-                        coords, None if cell is None else cell.values
-                    )
-        if partial:
-            report = CoverageReport(len(self.partitions()), tuple(missing))
-            return DegradedResult(out, report)
-        return out
+            out, missing = self._gather(
+                window, partial, attr_ranges, f"{self.name}_window",
+                tolerate_deadline=_wants_partial(on_unavailable),
+            )
+        return _answer(out, partial, len(self.partitions()), missing)
 
     def materialize(self, attr_ranges: Optional[dict] = None) -> SciArray:
-        # Partition reads yield schema-conforming cells at 1-based coords,
-        # so the checked set() path (coord normalisation, bounds, record
-        # coercion) is pure overhead here — and this loop is the gather
-        # hot path for every distributed operator.
-        out = SciArray(self.schema, name=self.name)
-        unchecked = out.set_unchecked
-        for coords, cell in self.scan(attr_ranges=attr_ranges):
-            unchecked(coords, None if cell is None else cell.values)
-        return out
+        return self._gather(None, False, attr_ranges, self.name)[0]
 
     # -- distributed operators ----------------------------------------------------
 
@@ -1075,123 +1072,71 @@ class DistributedArray:
         when the primary is dead, and replicas are never double-counted.
         *deadline* / *on_unavailable* behave as in :meth:`subsample`.
         """
-        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
-        attr_name = attr or self.schema.attr_names[0]
-        positions = [self.schema.dim_index(d) for d in group_dims]
-        merge = _ALGEBRAIC_MERGES.get(aggregate_fn.name)
         tolerate_deadline = _wants_partial(on_unavailable)
         partial_mode = degraded or tolerate_deadline
-
-        merged: dict[Coords, Any] = {}
-        missing: list[tuple[str, int]] = []
+        plan = content._aggregate_plan(self, group_dims, agg, attr, None)
         with deadline_scope(deadline):
-            self._aggregate_partials(
-                merge, aggregate_fn, attr_name, positions,
-                partial_mode, tolerate_deadline, merged, missing,
+            missing = self._grouped(
+                *plan, "aggregate", partial_mode, tolerate_deadline
             )
+        return _answer(plan[0], partial_mode, len(self.partitions()), missing)
 
-        from ..core.schema import Attribute
-        from ..core.ops.content import _result_type
-
-        out_schema = ArraySchema(
-            name=f"{self.name}_agg",
-            attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-            dimensions=tuple(self.schema.dimensions[p] for p in positions),
-        )
-        out = SciArray(out_schema, name=f"{self.name}_agg")
-        for key, state in merged.items():
-            out.set(key, aggregate_fn.final(state))
-        if partial_mode:
-            report = CoverageReport(len(self.partitions()), tuple(missing))
-            return DegradedResult(out, report)
-        return out
-
-    def _aggregate_partials(
+    def _grouped(
         self,
-        merge: Optional[Callable[[Any, Any], Any]],
+        out: SciArray,
         aggregate_fn: UserAggregate,
-        attr_name: str,
-        positions: list[int],
-        degraded: bool,
-        tolerate_deadline: bool,
-        merged: dict[Coords, Any],
-        missing: list[tuple[str, int]],
-    ) -> None:
-        """Run :meth:`aggregate`'s read/transition phase into *merged*."""
-        if merge is not None:
-            # Algebraic: the local phase (scan + per-group transitions)
-            # runs in scheduler workers; the coordinator merges partial
-            # states in partition order, so float accumulation order — and
-            # therefore the result, bit for bit — matches the serial path.
-            def local_phase(p: int) -> Optional[tuple[int, dict[Coords, Any]]]:
-                try:
-                    site, cells = self._read_partition(p, degraded=degraded)
-                except DeadlineExceededError:
-                    if not tolerate_deadline:
-                        raise
-                    return None
-                if cells is None:
-                    return None
-                local: dict[Coords, Any] = {}
-                for coords, cell in cells:
-                    if cell is None:
-                        continue
-                    key = tuple(coords[q] for q in positions)
-                    state = local.get(key)
-                    if key not in local:
-                        state = aggregate_fn.initial()
-                    local[key] = aggregate_fn.transition(
-                        state, getattr(cell, attr_name)
-                    )
-                return site, local
+        attr: str,
+        shape: tuple[int, ...],
+        group_of: Callable[[Sequence[Any]], list],
+        reason: str,
+        degraded: bool = False,
+        tolerate_deadline: bool = False,
+    ) -> list[tuple[str, int]]:
+        """Fold every partition into *out*, grouped as in
+        :func:`repro.core.ops.content._grouped`; returns the partitions
+        that could not be served.
 
-            partials = self.grid.scheduler.map(
-                [
-                    (lambda p=p: local_phase(p))
-                    for p in self.partitions()
-                ]
+        An algebraic aggregate folds each partition to partial states
+        (count, sum, sum of squares, min/max) at its serving site in
+        scheduler workers; the coordinator merges them in partition
+        order, metering the partials as *reason*, so the result is the
+        same bit for bit whatever the fan-out.  A holistic user aggregate
+        ships the raw values instead and folds them per cell at the
+        coordinator (its state is not mergeable).
+        """
+        kernel = content._kernel_aggregate(self, aggregate_fn, attr)
+        missing: list[tuple[str, int]] = []
+        shipped = SciArray(self.schema, name=self.name)
+        partials = []
+        for p, (site, got) in zip(
+            self.partitions(),
+            self._read_partitions(
+                degraded=degraded, tolerate_deadline=tolerate_deadline,
+                local=(lambda part: content._fold(
+                    part, attr, aggregate_fn.name, shape, group_of
+                )) if kernel else None,
+            ),
+        ):
+            if site is None:
+                missing.append((self.name, p))
+                continue
+            if not kernel:
+                self.grid.meter(
+                    site, COORDINATOR, got.count_present(),
+                    self.cell_nbytes, reason,
+                )
+                _merge_into(shipped, got)
+            elif got is not None:
+                # 24 bytes: the wire estimate of one partial state.
+                self.grid.meter(site, COORDINATOR, got[0].size, 24, reason)
+                partials.append(got)
+        if not kernel:
+            content._grouped(shipped, out, aggregate_fn, attr, shape, group_of)
+        elif partials:
+            content._place(
+                out, shape, aggregate_fn.name, content._merge_states(partials)
             )
-            state_nbytes = 24  # partial-state wire estimate
-            for p, partial in zip(self.partitions(), partials):
-                if partial is None:
-                    missing.append((self.name, p))
-                    continue
-                site, local = partial
-                for key, state in local.items():
-                    self.grid.ledger.record(
-                        site, COORDINATOR, state_nbytes, "aggregate"
-                    )
-                    if key in merged:
-                        merged[key] = merge(merged[key], state)
-                    else:
-                        merged[key] = state
-        else:
-            # Holistic user aggregate: ship raw values to the coordinator.
-            # Reads fan out; the transitions themselves stay coordinator-
-            # side and in partition order (holistic state is not mergeable,
-            # and order-dependent aggregates must see the serial order).
-            for p, (site, cells) in zip(
-                self.partitions(),
-                self._read_partitions(
-                    degraded=degraded, tolerate_deadline=tolerate_deadline
-                ),
-            ):
-                if cells is None:
-                    missing.append((self.name, p))
-                    continue
-                for coords, cell in cells:
-                    if cell is None:
-                        continue
-                    self.grid.ledger.record(
-                        site, COORDINATOR, self.cell_nbytes, "aggregate"
-                    )
-                    key = tuple(coords[q] for q in positions)
-                    state = merged.get(key)
-                    if key not in merged:
-                        state = aggregate_fn.initial()
-                    merged[key] = aggregate_fn.transition(
-                        state, getattr(cell, attr_name)
-                    )
+        return missing
 
     def sjoin(
         self,
@@ -1222,148 +1167,89 @@ class DistributedArray:
 
         # Read every left partition in parallel (no per-cell metering: the
         # join runs at the serving site, which holds the cells locally).
-        left_served: dict[int, tuple[int, list]] = {}
-        for p, (site, cells) in zip(
+        left_served: dict[int, tuple[int, SciArray]] = {}
+        for p, (site, part) in zip(
             self.partitions(), self._read_partitions(degraded=degraded)
         ):
-            if cells is None:
+            if part is None:
                 missing.append((self.name, p))
                 continue
-            left_served[p] = (site, cells)
+            left_served[p] = (site, part)
 
         # Assemble the right side per left partition.
-        right_parts: dict[int, SciArray] = {
-            p: SciArray(other.schema, name=f"{other.name}@p{p}")
-            for p in left_served
-        }
+        right_parts = {p: SciArray(other.schema) for p in left_served}
         total_partitions = len(self.partitions())
         if copartitioned:
             live = sorted(left_served)
-            right_reads = other._read_partitions(
-                degraded=degraded, partitions=live
+            reads = zip(
+                live, other._read_partitions(degraded=degraded, partitions=live)
             )
-            for p, (r_site, r_cells) in zip(live, right_reads):
-                if r_cells is None:
-                    missing.append((other.name, p))
-                    continue
-                left_site = left_served[p][0]
-                for coords, cell in r_cells:
-                    if r_site != left_site:
-                        # Replica chains diverge (different k/placement):
-                        # the right cells must travel to the join site.
-                        self.grid.ledger.record(
-                            r_site, left_site, other.cell_nbytes, "join_shuffle"
-                        )
-                    right_parts[p].set(coords, cell)
         else:
             # Shuffle right cells to the site joining the matching left cell.
             total_partitions += len(other.partitions())
-            for q, (r_site, r_cells) in zip(
-                other.partitions(),
-                other._read_partitions(degraded=degraded),
-            ):
-                if r_cells is None:
-                    missing.append((other.name, q))
-                    continue
-                for coords, cell in r_cells:
-                    target = self.partitioner.site_of(coords)
-                    if target not in left_served:
-                        continue  # left side lost: nothing to join against
-                    left_site = left_served[target][0]
-                    if r_site != left_site:
-                        self.grid.ledger.record(
-                            r_site, left_site, other.cell_nbytes, "join_shuffle"
-                        )
-                    right_parts[target].set(coords, cell)
+            reads = zip(
+                other.partitions(), other._read_partitions(degraded=degraded)
+            )
+        for q, (r_site, r_part) in reads:
+            if r_part is None:
+                missing.append((other.name, q))
+                continue
+            pieces = (
+                {q: r_part} if copartitioned
+                else self.partitioner.split(r_part)
+            )
+            for target, piece in pieces.items():
+                if target not in left_served:
+                    continue  # left side lost: nothing to join against
+                # Replica chains diverge (different k/placement) or the
+                # schemes differ: the right cells travel to the join site.
+                left_site = left_served[target][0]
+                if r_site != left_site:
+                    self.grid.meter(
+                        r_site, left_site, piece.count_occupied(),
+                        other.cell_nbytes, "join_shuffle",
+                    )
+                _merge_into(right_parts[target], piece)
 
         # Local joins are pure per partition: fan them out, merge the
         # results (and meter the gathers) serially in partition order.
-        def local_join(
-            p: int, left_site: int, cells: list
-        ) -> Optional[SciArray]:
-            left = SciArray(self.schema, name=f"{self.name}@p{p}")
-            for coords, cell in cells:
-                left.set(coords, cell)
-            right = right_parts[p]
+        def local_join(p: int) -> Optional[SciArray]:
+            left, right = left_served[p][1], right_parts[p]
             if left.count_occupied() == 0 or right.count_occupied() == 0:
                 return None
             return structural_ops.sjoin(left, right, on=on)
 
         ordered = sorted(left_served)
         locals_ = self.grid.scheduler.map(
-            [
-                (lambda p=p: local_join(p, *left_served[p]))
-                for p in ordered
-            ]
+            [(lambda p=p: local_join(p)) for p in ordered]
         )
-        out: Optional[SciArray] = None
+        # An empty join of empty operands gives the joined schema.
+        out = structural_ops.sjoin(
+            SciArray(self.schema, name=self.name),
+            SciArray(other.schema, name=other.name), on=on,
+        )
         for p, local in zip(ordered, locals_):
             if local is None:
                 continue
-            left_site = left_served[p][0]
             self.grid.ledger.record(
-                left_site,
+                left_served[p][0],
                 COORDINATOR,
                 local.count_occupied() * (self.cell_nbytes + other.cell_nbytes),
                 "gather",
             )
-            if out is None:
-                out = local.empty_like(name=f"{self.name}_sjoin_{other.name}")
-            for coords, cell in local.cells():
-                out.set(coords, cell)
-        if out is None:
-            # Build an empty result with the joined schema.
-            left = SciArray(self.schema)
-            right = SciArray(other.schema)
-            out = structural_ops.sjoin(left, right, on=on)
-        if degraded:
-            report = CoverageReport(total_partitions, tuple(missing))
-            return DegradedResult(out, report)
-        return out
+            _merge_into(out, local)
+        return _answer(out, degraded, total_partitions, missing)
 
     def filter(
         self,
         predicate,
         output_name: Optional[str] = None,
     ) -> "DistributedArray":
-        """Distributed Filter: runs node-local with **zero** movement.
-
-        Filter preserves cell addresses, so each node filters its own
-        partition in place under the same partitioner — replica copies
-        included, which keeps the output replicated exactly like the
-        input.  Nodes that die mid-filter are skipped: their partitions'
-        surviving replicas still produce complete output copies.
-        """
-        self._check_coverage()
-        out = self.grid.create_array(
+        """Distributed Filter: runs node-local with **zero** movement."""
+        return self._node_local(
             output_name or f"{self.name}_filtered", self.schema,
-            self.partitioner, replication=self.replication,
-            placement=self.placement,
+            lambda part: content.filter(part, predicate=predicate),
         )
-        # Filter preserves addresses, so the extent high-water carries over.
-        out._dim_highwater = list(self._dim_highwater)
-
-        def filter_node(node: Node) -> None:
-            try:
-                target = node.partition(out.name)
-                for coords, cell in node.scan_partition(self.name):
-                    if cell is not None and predicate(cell):
-                        target.append(coords, cell.values)
-                    else:
-                        target.append(coords, None)
-                target.flush()
-            except NodeFailedError:
-                pass  # replicas on surviving nodes cover this partition
-
-        # Node-local, zero movement: one task per node touches only that
-        # node's storage, so the fan-out needs no cross-task coordination.
-        self.grid.scheduler.map(
-            [
-                (lambda node=node: filter_node(node))
-                for node in self.grid.alive_nodes()
-            ]
-        )
-        return out
 
     def apply(
         self,
@@ -1374,40 +1260,43 @@ class DistributedArray:
         """Distributed Apply: node-local per-cell computation, no movement."""
         from ..core.schema import define_array
 
-        self._check_coverage()
         out_schema = define_array(
             f"{self.schema.name}_applied",
             values=list(output),
             dims=[(d.name, d.size) for d in self.schema.dimensions],
         )
-        out = self.grid.create_array(
+        return self._node_local(
             output_name or f"{self.name}_applied", out_schema,
-            self.partitioner, replication=self.replication,
+            lambda part: content.apply(part, fn=fn, output=output),
+        )
+
+    def _node_local(
+        self, name: str, schema: ArraySchema,
+        op: Callable[[SciArray], SciArray],
+    ) -> "DistributedArray":
+        """A new array *name* of *schema*, placed like this one, whose
+        partition on each alive node is *op* (address-preserving) of this
+        array's whole partition there, replica copies included: zero
+        movement, and the output is replicated exactly like the input.
+        Nodes that die meanwhile are skipped: their partitions' surviving
+        replicas still produce complete output copies.
+        """
+        self._check_coverage()
+        out = self.grid.create_array(
+            name, schema, self.partitioner, replication=self.replication,
             placement=self.placement,
         )
+        # Addresses are preserved, so the extent high-water carries over.
         out._dim_highwater = list(self._dim_highwater)
-        n_out = len(output)
 
-        def apply_node(node: Node) -> None:
+        def run(node: Node) -> None:
             try:
-                target = node.partition(out.name)
-                for coords, cell in node.scan_partition(self.name):
-                    if cell is None:
-                        target.append(coords, None)
-                        continue
-                    result = fn(cell)
-                    if n_out == 1 and not isinstance(result, tuple):
-                        result = (result,)
-                    target.append(coords, result)
-                target.flush()
+                node.partition(name).write(op(node.scan_partition(self.name)))
             except NodeFailedError:
                 pass
 
         self.grid.scheduler.map(
-            [
-                (lambda node=node: apply_node(node))
-                for node in self.grid.alive_nodes()
-            ]
+            [(lambda node=node: run(node)) for node in self.grid.alive_nodes()]
         )
         return out
 
@@ -1434,70 +1323,14 @@ class DistributedArray:
         :meth:`filter`/:meth:`apply` this moves partial states — metered as
         ``"regrid"``.
         """
-        aggregate_fn = agg if isinstance(agg, UserAggregate) else get_aggregate(agg)
-        merge = _ALGEBRAIC_MERGES.get(aggregate_fn.name)
-        if merge is None:
+        plan = content._regrid_plan(self, factors, agg, attr, None)
+        out, aggregate_fn, attr_name = plan[:3]
+        if not content._kernel_aggregate(self, aggregate_fn, attr_name):
             raise SchemaError(
                 f"distributed regrid needs an algebraic aggregate, "
                 f"not {aggregate_fn.name!r}"
             )
-        attr_name = attr or self.schema.attr_names[0]
-        if len(factors) != self.schema.ndim:
-            raise SchemaError(
-                f"regrid needs {self.schema.ndim} factors, got {len(factors)}"
-            )
-        def local_phase(p: int) -> tuple[int, dict[Coords, Any]]:
-            site, cells = self._read_partition(p)
-            if site is None or cells is None:  # pragma: no cover - defensive
-                raise QuorumError(
-                    f"partition {p} of {self.name!r}: no surviving replica"
-                )
-            local: dict[Coords, Any] = {}
-            for coords, cell in cells:
-                if cell is None:
-                    continue
-                key = tuple((c - 1) // f + 1 for c, f in zip(coords, factors))
-                state = local.get(key)
-                if key not in local:
-                    state = aggregate_fn.initial()
-                local[key] = aggregate_fn.transition(
-                    state, getattr(cell, attr_name)
-                )
-            return site, local
-
-        partials = self.grid.scheduler.map(
-            [
-                (lambda p=p: local_phase(p))
-                for p in self.partitions()
-            ]
-        )
-        merged: dict[Coords, Any] = {}
-        for site, local in partials:
-            for key, state in local.items():
-                self.grid.ledger.record(site, COORDINATOR, 24, "regrid")
-                if key in merged:
-                    merged[key] = merge(merged[key], state)
-                else:
-                    merged[key] = state
-
-        from ..core.schema import Attribute, Dimension
-        from ..core.ops.content import _result_type
-
-        out_sizes = [
-            (self._extent(d) + f - 1) // f
-            for d, f in zip(range(self.schema.ndim), factors)
-        ]
-        out_schema = ArraySchema(
-            name=f"{self.name}_regrid",
-            attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-            dimensions=tuple(
-                Dimension(d.name, s)
-                for d, s in zip(self.schema.dimensions, out_sizes)
-            ),
-        )
-        out = SciArray(out_schema, name=f"{self.name}_regrid")
-        for key, state in merged.items():
-            out.set(key, aggregate_fn.final(state))
+        self._grouped(*plan, "regrid")
         return out
 
     def _extent(self, dim_index: int) -> int:
@@ -1507,6 +1340,8 @@ class DistributedArray:
         # Unbounded: the per-dimension high-water mark maintained on every
         # write/ingest (see _note_coords) — O(1), no storage rescans.
         return self._dim_highwater[dim_index]
+
+    high_water = _extent  # the SciArray name content's operator plans use
 
     # -- repartitioning --------------------------------------------------------------
 
@@ -1524,12 +1359,12 @@ class DistributedArray:
         # served it; redistribution below stays serial so the delivery —
         # and with it fault ordering — is deterministic.
         collected: list[tuple[int, Coords, Optional[tuple]]] = []
-        for p, (site, cells) in zip(self.partitions(), self._read_partitions()):
-            if site is None or cells is None:  # pragma: no cover - defensive
+        for p, (site, part) in zip(self.partitions(), self._read_partitions()):
+            if site is None or part is None:  # pragma: no cover - defensive
                 raise QuorumError(
                     f"partition {p} of {self.name!r}: no surviving replica"
                 )
-            for coords, cell in cells:
+            for coords, cell in part.cells():
                 collected.append(
                     (site, coords, None if cell is None else cell.values)
                 )
@@ -2024,6 +1859,19 @@ class Grid:
         self.nodes[site].counters.add("read_retries")
         tracing.add_current("failovers", 1)
 
+    def meter(
+        self, src: int, dst: int, cells: int, nbytes: int, reason: str
+    ) -> None:
+        """Record *cells* transfers of *nbytes* each: one per cell when a
+        fault injector watches the transfer clock (so a scheduled fault can
+        land between cells), else one bulk transfer of the same bytes."""
+        if self.faults is None:
+            if cells:
+                self.ledger.record(src, dst, cells * nbytes, reason)
+            return
+        for _ in range(cells):
+            self.ledger.record(src, dst, nbytes, reason)
+
     # -- the delivery fabric -----------------------------------------------------------
 
     def deliver(
@@ -2146,8 +1994,8 @@ class Grid:
             """Copy partition *p*'s missing cells from a surviving replica.
 
             `have` is a task-local snapshot: the coords each task copies
-            belong to its own partition only (filtered by ``site_of``), so
-            partition tasks never race on the same cell address.
+            belong to its own partition only, so partition tasks never
+            race on the same cell address.
             """
             chain = arr.partition_chain(p)
             local_have = set(have)
@@ -2158,11 +2006,11 @@ class Grid:
             ]
             for source in sources:
                 try:
-                    for coords, cell in self.nodes[source].scan_partition(
-                        name
-                    ):
-                        if arr.partitioner.site_of(coords) != p:
-                            continue
+                    part = arr.partitioner.split(
+                        self.nodes[source].scan_partition(name)
+                    ).get(p, SciArray(arr.schema))
+                    for coords, cell in part.cells():
+                        self.nodes[source].check_alive()
                         if coords in local_have:
                             continue
                         values = None if cell is None else cell.values

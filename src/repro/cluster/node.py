@@ -20,9 +20,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.cells import Cell
+from ..core.array import SciArray
 from ..core.errors import NodeFailedError
 from ..core.schema import ArraySchema
 from ..obs.recorder import emit as _flight_emit
@@ -203,23 +203,17 @@ class Node:
         array_name: str,
         window: Optional[tuple[Coords, Coords]] = None,
         attr_ranges: Optional[dict] = None,
-    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Scan a partition, re-checking liveness at every cell.
+    ) -> SciArray:
+        """Read a partition (every replica this node holds) as one chunked
+        array, windowed and value-pruned as :meth:`PersistentArray.read`.
 
-        A node killed mid-scan (a scheduled fault firing on a metered
-        transfer) raises :class:`NodeFailedError` at the next cell, which
-        the grid's failover logic catches and retries on a replica.
-
-        *attr_ranges* enables the storage layer's value pruning: buckets
-        whose statistics prove no cell can satisfy the ranges are skipped
-        without I/O (their occupied coordinates come back as NULL cells).
+        A node that died under the read raises :class:`NodeFailedError`,
+        which the grid's failover logic catches and retries on a replica.
         """
         self.check_alive()
-        for coords, cell in self.partition(array_name).scan(
-            window, attr_ranges=attr_ranges
-        ):
-            self.check_alive()
-            yield coords, cell
+        part = self.partition(array_name).read(window, attr_ranges)
+        self.check_alive()
+        return part
 
     def cell_count(self, array_name: str) -> int:
         """Distinct cells stored in a partition — O(1) via the live-cell

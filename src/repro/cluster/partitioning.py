@@ -17,8 +17,11 @@ from __future__ import annotations
 import bisect
 import struct
 import zlib
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from ..core.array import Chunk, SciArray
 from ..core.errors import PartitioningError
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 Coords = tuple[int, ...]
+Unit = tuple[Optional[int], ...]
 
 
 class Partitioner:
@@ -45,6 +49,66 @@ class Partitioner:
 
     def site_of(self, coords: Coords) -> int:
         raise NotImplementedError
+
+    def unit(self, ndim: int) -> Unit:
+        """The placement unit: per dimension, the side of the aligned boxes
+        (``(c - 1) // side``) whose cells all share one site, or ``None``
+        where the site ignores that dimension.  The base is one cell."""
+        return (1,) * ndim
+
+    def split(
+        self, array: SciArray, visit: Callable[[], None] = lambda: None
+    ) -> dict[int, SciArray]:
+        """*array*'s occupied cells grouped by site, one array per site.
+
+        :meth:`site_of` runs once per placement unit :meth:`unit` finds
+        occupied, on one of its cells, not once per cell.  *visit* runs
+        once per chunk visited (the grid checks deadlines there).  Chunks
+        of *array* move into the results; one several sites hold becomes a
+        state mask per site over the same value planes.
+        """
+        sides = self.unit(array.ndim)
+        owners: dict[Coords, int] = {}
+        out: dict[int, SciArray] = {}
+        for key, chunk in array.chunk_items():
+            visit()
+            occupied = np.nonzero(chunk.state)
+            if not occupied[0].size:
+                continue
+            coords = [o + off for o, off in zip(chunk.origin, occupied)]
+            if all(side == 1 for side in sides):  # the unit is the cell
+                cells = zip(*(c.tolist() for c in coords))
+                site_of_cell = np.array([self.site_of(c) for c in cells])
+            else:
+                units = [
+                    (c - 1) // side if side else 0 * c
+                    for c, side in zip(coords, sides)
+                ]
+                low = [u.min() for u in units]
+                flat = np.ravel_multi_index(
+                    [u - l for u, l in zip(units, low)],
+                    [u.max() - l + 1 for u, l in zip(units, low)],
+                )
+                _, first, inverse = np.unique(
+                    flat, return_index=True, return_inverse=True
+                )
+                keys = zip(*(u[first].tolist() for u in units))
+                cells = zip(*(c[first].tolist() for c in coords))
+                site_of_cell = np.array([
+                    owners[k] if k in owners
+                    else owners.setdefault(k, self.site_of(c))
+                    for k, c in zip(keys, cells)
+                ])[inverse.ravel()]
+            distinct = np.unique(site_of_cell).tolist()
+            for site in distinct:
+                mine = chunk
+                if len(distinct) > 1:  # its own states over shared planes
+                    mine = Chunk(chunk.origin, chunk.shape, ())
+                    mine.data = chunk.data
+                    kept = tuple(o[site_of_cell == site] for o in occupied)
+                    mine.state[kept] = chunk.state[kept]
+                out.setdefault(site, array.empty_like()).adopt_chunk(key, mine)
+        return out
 
     def sites(self) -> tuple[int, ...]:
         """Site ids this partitioner can route cells to.
@@ -125,6 +189,9 @@ class RangePartitioner(Partitioner):
         self.dim = dim
         self.boundaries = tuple(boundaries)
 
+    def unit(self, ndim: int) -> Unit:
+        return tuple(1 if d == self.dim else None for d in range(ndim))
+
     def site_of(self, coords: Coords) -> int:
         value = coords[self.dim]
         for i, edge in enumerate(self.boundaries):
@@ -162,6 +229,9 @@ class BlockPartitioner(Partitioner):
             -(-b // k) for b, k in zip(self.bounds, self.blocks)
         )  # ceil division
 
+    def unit(self, ndim: int) -> Unit:
+        return self.block_side
+
     def block_of(self, coords: Coords) -> tuple[int, ...]:
         return tuple(
             min((c - 1) // s, k - 1)
@@ -191,6 +261,9 @@ class BlockCyclicPartitioner(Partitioner):
         if any(s < 1 for s in block_side):
             raise PartitioningError("block sides must be positive")
         self.block_side = tuple(int(s) for s in block_side)
+
+    def unit(self, ndim: int) -> Unit:
+        return self.block_side
 
     def site_of(self, coords: Coords) -> int:
         block = tuple((c - 1) // s for c, s in zip(coords, self.block_side))

@@ -238,14 +238,14 @@ class Rebalancer:
         if self._planned:
             raise GridError("rebalance already planned")
         arr, mig = self.array, self.migration
-        for p, (_site, cells) in zip(
+        for p, (_site, part) in zip(
             arr.partitions(), arr._read_partitions()
         ):
-            if cells is None:  # pragma: no cover - defensive
+            if part is None:  # pragma: no cover - defensive
                 raise QuorumError(
                     f"partition {p} of {arr.name!r}: no surviving replica"
                 )
-            for coords, _cell in cells:
+            for coords, _cell in part.cells():
                 mig.known.add(coords)
                 if self._wants_copies(coords):
                     mig.enqueue(coords)

@@ -142,7 +142,7 @@ def load_stage(
     )
     with loader:
         loader.load(stream)
-    return target.to_sciarray(name), loader.report()
+    return target.read(name=name), loader.report()
 
 
 # -- step constructors -------------------------------------------------------------

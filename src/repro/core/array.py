@@ -208,12 +208,16 @@ class SciArray:
         if not chunk.state.any():
             return
         self._chunks[key] = chunk
+        self._raise_high_water(chunk.origin, chunk.state)
+
+    def _raise_high_water(self, origin: Coords, occupied: np.ndarray) -> None:
+        """Raise unbounded dimensions' marks to *occupied*'s cells at *origin*."""
         for d, dim in enumerate(self.schema.dimensions):
-            if dim.size is None:
+            if dim.size is None and occupied.any():
                 others = tuple(a for a in range(self.ndim) if a != d)
-                last = np.flatnonzero(chunk.state.any(axis=others))[-1]
+                last = np.flatnonzero(occupied.any(axis=others))[-1]
                 self._high_water[d] = max(
-                    self._high_water[d], chunk.origin[d] + int(last)
+                    self._high_water[d], origin[d] + int(last)
                 )
 
     # ------------------------------------------------------------------
@@ -480,6 +484,7 @@ class SciArray:
         origin: Coords,
         values: Mapping[str, np.ndarray],
         null_mask: Optional[np.ndarray] = None,
+        state: Optional[np.ndarray] = None,
     ) -> None:
         """Write a dense block of cells in one call.
 
@@ -489,12 +494,20 @@ class SciArray:
         NULL instead of their value (the vectorised Filter's output path).
         This is the bulk-load fast path used by the streaming loader and
         the workload generators.
+
+        *state*, the block's own cell states, pastes it beneath what the
+        array holds instead: only occupied block cells land, only on
+        EMPTY cells, and *values* may omit attributes when none is
+        PRESENT.  Storage reads paste bucket slabs newest first this way;
+        like :meth:`set_unchecked`, this path trusts the coordinates.
         """
         arrays = {name: np.asarray(arr) for name, arr in values.items()}
         missing = set(self.attr_names) - set(arrays)
-        if missing:
+        if missing and (state is None or (state == CellState.PRESENT).any()):
             raise TypeMismatchError(f"set_region missing attributes {sorted(missing)}")
         shapes = {a.shape for a in arrays.values()}
+        if state is not None:
+            shapes.add(state.shape)
         if len(shapes) != 1:
             raise TypeMismatchError(f"set_region attribute shapes differ: {shapes}")
         block_shape = shapes.pop()
@@ -502,34 +515,35 @@ class SciArray:
             raise TypeMismatchError(
                 f"set_region block is {len(block_shape)}-D for a {self.ndim}-D array"
             )
-        origin = self._normalize_coords(origin)
+        if state is None:
+            origin = self._normalize_coords(origin)
+            self._check_bounds(origin, writing=True)
+            self._check_bounds(
+                tuple(o + s - 1 for o, s in zip(origin, block_shape)),
+                writing=True,
+            )
         far = tuple(o + s - 1 for o, s in zip(origin, block_shape))
-        self._check_bounds(origin, writing=True)
-        self._check_bounds(far, writing=True)
 
-        # Walk every chunk the block overlaps and copy the intersection.
-        lo_key, _ = self._chunk_key(origin)
-        hi_key, _ = self._chunk_key(far)
-        for key in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in zip(lo_key, hi_key))
-        ):
-            chunk_origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
+        for key, lo, chunk_sel, block_sel in self._tiles(origin, far):
+            src = None if state is None else state[block_sel]
             chunk = self._chunks.get(key)
             if chunk is None:
-                chunk = Chunk(chunk_origin, self.chunk_shape, self.schema.attributes)
+                if src is not None and not src.any():
+                    continue
+                chunk = Chunk(
+                    tuple(k * s + 1 for k, s in zip(key, self.chunk_shape)),
+                    self.chunk_shape, self.schema.attributes,
+                )
                 self._chunks[key] = chunk
-            # Intersection of block and chunk, in absolute 1-based coords.
-            lo = tuple(max(o, co) for o, co in zip(origin, chunk_origin))
-            hi = tuple(
-                min(f, co + s - 1)
-                for f, co, s in zip(far, chunk_origin, self.chunk_shape)
-            )
-            chunk_sel = tuple(
-                slice(l - co, h - co + 1) for l, h, co in zip(lo, hi, chunk_origin)
-            )
-            block_sel = tuple(
-                slice(l - o, h - o + 1) for l, h, o in zip(lo, hi, origin)
-            )
+            if src is not None:
+                target = chunk.state[chunk_sel]
+                landed = (target == CellState.EMPTY) & (src != CellState.EMPTY)
+                cells = np.nonzero(landed)  # copies follow occupancy
+                for name, plane in arrays.items():
+                    chunk.data[name][chunk_sel][cells] = plane[block_sel][cells]
+                target[cells] = src[cells]
+                self._raise_high_water(lo, landed)
+                continue
             for attr in self.schema.attributes:
                 chunk.data[attr.name][chunk_sel] = arrays[attr.name][block_sel]
             if null_mask is None:
@@ -539,7 +553,26 @@ class SciArray:
                 chunk.state[chunk_sel] = np.where(
                     mask, CellState.NULL, CellState.PRESENT
                 ).astype(np.uint8)
-        self._bump_high_water(far)
+        if state is None:
+            self._bump_high_water(far)
+
+    def _tiles(
+        self, lo: Coords, hi: Coords
+    ) -> Iterator[tuple[Coords, Coords, tuple, tuple]]:
+        """Each chunk key the box ``lo..hi`` (inclusive) overlaps, with the
+        overlap's low corner and its slices into that chunk and the box."""
+        for key in itertools.product(*(
+            range((l - 1) // s, (h - 1) // s + 1)
+            for l, h, s in zip(lo, hi, self.chunk_shape)
+        )):
+            origin = tuple(k * s + 1 for k, s in zip(key, self.chunk_shape))
+            first = tuple(map(max, lo, origin))
+            last = tuple(
+                min(h, o + s - 1) for h, o, s in zip(hi, origin, self.chunk_shape)
+            )
+            yield key, first, tuple(
+                slice(f - o, l - o + 1) for f, l, o in zip(first, last, origin)
+            ), tuple(slice(f - b, l - b + 1) for f, l, b in zip(first, last, lo))
 
     def region(
         self,
@@ -574,19 +607,10 @@ class SciArray:
                 block[...] = fill
                 out[name] = block
 
-        lo_key, _ = self._chunk_key(lo)
-        hi_key, _ = self._chunk_key(hi)
-        for key in itertools.product(
-            *(range(l, h + 1) for l, h in zip(lo_key, hi_key))
-        ):
+        for key, _, chunk_sel, out_sel in self._tiles(lo, hi):
             chunk = self._chunks.get(key)
             if chunk is None:
                 continue
-            co = chunk.origin
-            ilo = tuple(max(l, c) for l, c in zip(lo, co))
-            ihi = tuple(min(h, c + s - 1) for h, c, s in zip(hi, co, self.chunk_shape))
-            chunk_sel = tuple(slice(l - c, h - c + 1) for l, h, c in zip(ilo, ihi, co))
-            out_sel = tuple(slice(l - o, h - o + 1) for l, h, o in zip(ilo, ihi, lo))
             mask = chunk.state[chunk_sel] == CellState.PRESENT
             for name in names:
                 dest = out[name][out_sel]
@@ -661,10 +685,6 @@ class SciArray:
             nulls = (chunk.state[wanted] == CellState.NULL).tolist()
             for c, row, null in zip(coords, rows, nulls):
                 yield c, None if null else Cell(names, row)
-
-    def coords_present(self) -> Iterator[Coords]:
-        for coords, cell in self.cells(include_null=False):
-            yield coords
 
     def __iter__(self) -> Iterator[tuple[Coords, Optional[Cell]]]:
         return self.cells()

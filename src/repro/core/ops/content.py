@@ -47,6 +47,8 @@ Coords = tuple[int, ...]
 AggSpec = Union[str, UserAggregate]
 #: One chunk's PRESENT values: attribute name -> 1-D plane.
 Planes = dict[str, np.ndarray]
+#: Partial aggregate states: flat group keys and one state column each.
+Folded = tuple[np.ndarray, Planes]
 
 #: Aggregates the fold kernel computes with numpy.  Matched by identity,
 #: so a user aggregate registered under a builtin's name folds per cell.
@@ -57,6 +59,13 @@ def _resolve_aggregate(agg: AggSpec) -> UserAggregate:
     if isinstance(agg, UserAggregate):
         return agg
     return get_aggregate(agg)
+
+
+def _attr_of(array: SciArray, attr: Optional[str]) -> str:
+    """The checked attribute an aggregate folds: *attr*, or the first."""
+    name = attr or array.schema.attr_names[0]
+    array.schema.attribute(name)  # validates
+    return name
 
 
 def _kernel_aggregate(array: SciArray, agg: UserAggregate, attr: str) -> bool:
@@ -150,29 +159,39 @@ def aggregate(
     for single-value arrays).  Groups whose slice holds no PRESENT cell are
     EMPTY in the output.
     """
+    return _grouped(array, *_aggregate_plan(array, group_dims, agg, attr, name))
+
+
+def _aggregate_plan(array, group_dims, agg, attr, name) -> tuple:
+    """:func:`aggregate`'s checked inputs to :func:`_grouped` over *array*
+    (a :class:`SciArray`, or a grid array, which folds them itself)."""
     if not group_dims:
         raise SchemaError("aggregate needs at least one grouping dimension; "
                           "use aggregate_all for a scalar reduction")
     if len(set(group_dims)) != len(group_dims):
         raise SchemaError("duplicate grouping dimensions")
     positions = [array.schema.dim_index(d) for d in group_dims]
-    aggregate_fn = _resolve_aggregate(agg)
-    attr_name = attr or array.attr_names[0]
-    array.schema.attribute(attr_name)  # validates
-
-    out_dims = [array.schema.dimensions[p] for p in positions]
-    out_schema = ArraySchema(
-        name=name or f"{array.schema.name}_agg",
-        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-        dimensions=tuple(out_dims),
+    aggregate_fn, attr_name = _resolve_aggregate(agg), _attr_of(array, attr)
+    out = _result_array(
+        array, name, "agg", aggregate_fn,
+        [array.schema.dimensions[p] for p in positions],
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_agg")
-
     shape = tuple(array.high_water(p) for p in positions)
-    return _grouped(
-        array, out, aggregate_fn, attr_name, shape,
+    return (
+        out, aggregate_fn, attr_name, shape,
         lambda coords: [coords[p] - 1 for p in positions],
     )
+
+
+def _result_array(array, name: Optional[str], suffix: str,
+                  agg: UserAggregate, dims: Sequence[Dimension]) -> SciArray:
+    """The empty output of aggregate *agg* over *dims*, named after *array*."""
+    schema = ArraySchema(
+        name=name or f"{array.schema.name}_{suffix}",
+        attributes=(Attribute(agg.name, _result_type(agg)),),
+        dimensions=tuple(dims),
+    )
+    return SciArray(schema, name=name or f"{array.name}_{suffix}")
 
 
 def aggregate_all(array: SciArray, agg: AggSpec, attr: Optional[str] = None) -> Any:
@@ -188,7 +207,9 @@ def aggregate_all(array: SciArray, agg: AggSpec, attr: Optional[str] = None) -> 
         array, attr_name, aggregate_fn.name, (1,),
         lambda coords: [np.zeros_like(coords[0])],
     )
-    return aggregate_fn.compute(()) if folded is None else folded[1][0].item()
+    if folded is None:
+        return aggregate_fn.compute(())
+    return _finish(aggregate_fn.name, folded[1])[0].item()
 
 
 def _grouped(
@@ -205,21 +226,8 @@ def _grouped(
     Groups no PRESENT cell feeds stay EMPTY."""
     if _kernel_aggregate(array, agg, attr):
         folded = _fold(array, attr, agg.name, shape, group_of)
-        if folded is None:
-            return out
-        groups, result = folded
-        side = out.chunk_shape
-        grid = tuple(-(-s // c) for s, c in zip(shape, side))
-        chunk_ids = np.ravel_multi_index([g // c for g, c in zip(groups, side)], grid)
-        for chunk_id in np.unique(chunk_ids).tolist():
-            mine = chunk_ids == chunk_id
-            key = tuple(int(k) for k in np.unravel_index(chunk_id, grid))
-            offsets = tuple(g[mine] - k * c for g, k, c in zip(groups, key, side))
-            chunk = Chunk(tuple(k * c + 1 for k, c in zip(key, side)), side,
-                          out.schema.attributes)
-            chunk.state[offsets] = CellState.PRESENT
-            chunk.data[agg.name][offsets] = result[mine]
-            out.adopt_chunk(key, chunk)
+        if folded is not None:
+            _place(out, shape, agg.name, folded)
         return out
     groups: dict[Coords, Any] = {}
     for coords, cell in array.cells(include_null=False):
@@ -231,20 +239,41 @@ def _grouped(
     return out
 
 
+def _place(
+    out: SciArray, shape: tuple[int, ...], agg: str, folded: Folded
+) -> None:
+    """Write each *folded* group's *agg* result into *out*, whose cells
+    are the *shape* box the groups' flat keys index."""
+    keys, states = folded
+    result = _finish(agg, states)
+    groups = np.unravel_index(keys, shape)
+    side = out.chunk_shape
+    grid = tuple(-(-s // c) for s, c in zip(shape, side))
+    chunk_ids = np.ravel_multi_index([g // c for g, c in zip(groups, side)], grid)
+    (name,) = out.attr_names
+    for chunk_id in np.unique(chunk_ids).tolist():
+        mine = chunk_ids == chunk_id
+        key = tuple(int(k) for k in np.unravel_index(chunk_id, grid))
+        offsets = tuple(g[mine] - k * c for g, k, c in zip(groups, key, side))
+        chunk = Chunk(tuple(k * c + 1 for k, c in zip(key, side)), side,
+                      out.schema.attributes)
+        chunk.state[offsets] = CellState.PRESENT
+        chunk.data[name][offsets] = result[mine]
+        out.adopt_chunk(key, chunk)
+
+
 def _fold(
     array: SciArray,
     attr: str,
     agg: str,
     shape: tuple[int, ...],
     group_of: Callable[[Sequence[Any]], list],
-) -> Optional[tuple[tuple[np.ndarray, ...], np.ndarray]]:
-    """The fold kernel: builtin *agg* of every PRESENT *attr* value,
-    grouped as in :func:`_grouped`.  Returns the 0-based coordinates of
-    every group some cell feeds (one array per *shape* dimension) and
-    each group's result, or ``None`` when no cell is PRESENT.  Memory
-    follows the PRESENT cells, not the *shape* box.  Values accumulate in
-    :meth:`~repro.core.array.SciArray.cells` order, as the per-cell fold's
-    do; integer sums are int64 and wrap past 2**63 as numpy's do.
+) -> Optional[Folded]:
+    """The fold kernel: builtin *agg*'s partial state over every PRESENT
+    *attr* value, grouped as in :func:`_grouped`: the flat indices within
+    *shape* of every group some cell feeds and each group's state columns
+    (see :func:`_merge_states`), or ``None`` when no cell is PRESENT.
+    Memory follows the PRESENT cells, not the *shape* box.
     """
     keys, values = [], []
     for _, chunk in array.chunk_items():
@@ -256,34 +285,64 @@ def _fold(
             values.append(chunk.data[attr][present])
     if not keys:
         return None
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    # One stable sort groups the cells, each group kept in cells() order.
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    groups = np.unravel_index(keys[starts], shape)
-    count = np.diff(starts, append=keys.size)
-    if agg == "count":
-        return groups, count
+    values = np.concatenate(values)
+    cells = {}
+    if agg in ("count", "avg", "stdev"):
+        cells["count"] = np.ones(values.size, dtype=np.int64)
     if agg in ("min", "max"):
-        folded = (np.fmin if agg == "min" else np.fmax).reduceat(values, starts)
-        first = values[starts]
-        if first.dtype.kind == "f":
-            # The per-cell fold keeps NaN only when it is a group's first value.
-            folded = np.where(np.isnan(first), first, folded)
-        return groups, folded
-    ids = np.repeat(np.arange(starts.size), count)
-    integral = agg == "sum" and values.dtype.kind in "biu"
-    total = np.zeros(starts.size, dtype=np.int64 if integral else np.float64)
-    np.add.at(total, ids, values)
-    if agg == "sum":
-        return groups, total
-    mean = total / count
+        cells[agg] = values
+    elif agg != "count":
+        integral = agg == "sum" and values.dtype.kind in "biu"
+        cells["sum"] = values.astype(np.int64 if integral else np.float64)
+        if agg == "stdev":
+            cells["squares"] = np.square(values, dtype=np.float64)
+    return _merge_states([(np.concatenate(keys), cells)])
+
+
+def _merge_states(partials: Sequence[Folded]) -> Folded:
+    """Fold the rows of *partials* (flat group keys and state columns, in
+    order) by key, each group in row order: ``count``, ``sum`` and
+    ``squares`` add (floats one value at a time, as the per-cell fold
+    does, so sums match it bitwise; int64 wraps past 2**63 as numpy's
+    does), ``min`` and ``max`` keep NaN only when it is a group's first
+    value, as Python's min/max fold does.  Returns the sorted distinct
+    keys and their states."""
+    keys = np.concatenate([k for k, _ in partials])
+    states = {
+        column: np.concatenate([st[column] for _, st in partials])
+        for column in partials[0][1]
+    }
+    # One stable sort groups the rows, each group kept in row order.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    ids = np.repeat(np.arange(starts.size), np.diff(starts, append=keys.size))
+    out: Planes = {}
+    for column, rows in states.items():
+        rows = rows[order]
+        if column in ("min", "max"):
+            folded = (np.fmin if column == "min" else np.fmax).reduceat(rows, starts)
+            first = rows[starts]
+            if first.dtype.kind == "f":
+                folded = np.where(np.isnan(first), first, folded)
+        elif rows.dtype.kind == "f":
+            folded = np.zeros(starts.size)
+            np.add.at(folded, ids, rows)
+        else:
+            folded = np.add.reduceat(rows, starts)
+        out[column] = folded
+    return keys[starts], out
+
+
+def _finish(agg: str, states: Planes) -> np.ndarray:
+    """Each group's *agg* result from its merged partial state."""
+    if agg not in ("avg", "stdev"):
+        return states[agg]
+    count = states["count"]
+    mean = states["sum"] / count
     if agg == "avg":
-        return groups, mean
-    squares = np.zeros(starts.size)
-    np.add.at(squares, ids, np.square(values, dtype=np.float64))
-    return groups, np.maximum(squares / count - mean * mean, 0.0) ** 0.5
+        return mean
+    return np.maximum(states["squares"] / count - mean * mean, 0.0) ** 0.5
 
 
 def _result_type(agg: UserAggregate) -> ScalarType:
@@ -437,29 +496,27 @@ def regrid(
     edge aggregate the cells they hold; blocks with no PRESENT cell are
     EMPTY.
     """
-    if len(factors) != array.ndim:
-        raise SchemaError(
-            f"regrid needs {array.ndim} factors, got {len(factors)}"
-        )
+    return _grouped(array, *_regrid_plan(array, factors, agg, attr, name))
+
+
+def _regrid_plan(array, factors, agg, attr, name) -> tuple:
+    """:func:`regrid`'s checked inputs to :func:`_grouped`, as
+    :func:`_aggregate_plan`."""
+    dims = array.schema.dimensions
+    if len(factors) != len(dims):
+        raise SchemaError(f"regrid needs {len(dims)} factors, got {len(factors)}")
     if any(f < 1 for f in factors):
         raise SchemaError("regrid factors must be >= 1")
-    aggregate_fn = _resolve_aggregate(agg)
-    attr_name = attr or array.attr_names[0]
-    array.schema.attribute(attr_name)  # validates
-
-    out_sizes = tuple((h + f - 1) // f for h, f in zip(array.bounds, factors))
-    out_schema = ArraySchema(
-        name=name or f"{array.schema.name}_regrid",
-        attributes=(Attribute(aggregate_fn.name, _result_type(aggregate_fn)),),
-        dimensions=tuple(
-            Dimension(d.name, s)
-            for d, s in zip(array.schema.dimensions, out_sizes)
-        ),
+    aggregate_fn, attr_name = _resolve_aggregate(agg), _attr_of(array, attr)
+    out_sizes = tuple(
+        (array.high_water(d) + f - 1) // f for d, f in enumerate(factors)
     )
-    out = SciArray(out_schema, name=name or f"{array.name}_regrid")
-
-    return _grouped(
-        array, out, aggregate_fn, attr_name, out_sizes,
+    out = _result_array(
+        array, name, "regrid", aggregate_fn,
+        [Dimension(d.name, s) for d, s in zip(dims, out_sizes)],
+    )
+    return (
+        out, aggregate_fn, attr_name, out_sizes,
         lambda coords: [(c - 1) // f for c, f in zip(coords, factors)],
     )
 

@@ -110,23 +110,29 @@ def subsample(
     )
     out = SciArray(out_schema, name=name or f"{array.name}_sub")
 
-    # Fast path: every selected run is contiguous -> one region copy.
-    contiguous = all(
-        sel == list(range(sel[0], sel[-1] + 1)) for sel in selections if sel
-    ) and all(selections)
-    if contiguous and array.count_occupied() == array.count_present():
-        lo = tuple(sel[0] for sel in selections)
-        hi = tuple(sel[-1] for sel in selections)
-        occupied_box = all(
-            l <= h for l, h in zip(lo, hi)
-        )
-        if occupied_box and array.count_present() == int(
-            np.prod([h - l + 1 for l, h in zip((1,) * array.ndim, array.bounds)])
-        ):
-            block = array.region(lo, hi, fill=0)
-            out.set_region(tuple([1] * array.ndim), block)
-            _attach_source_index(out, array, selections)
-            return out
+    if all(selections) and all(
+        sel == list(range(sel[0], sel[-1] + 1)) for sel in selections
+    ):
+        # One box: paste each chunk's share of it, rebased, with numpy.
+        lo = [sel[0] for sel in selections]
+        hi = [sel[-1] for sel in selections]
+        for chunk in array.chunks():
+            top = [o + s - 1 for o, s in zip(chunk.origin, chunk.shape)]
+            first = [max(l, o) for l, o in zip(lo, chunk.origin)]
+            last = [min(h, t) for h, t in zip(hi, top)]
+            if any(a > b for a, b in zip(first, last)):
+                continue
+            cut = tuple(
+                slice(a - o, b - o + 1)
+                for a, b, o in zip(first, last, chunk.origin)
+            )
+            out.set_region(
+                tuple(a - l + 1 for a, l in zip(first, lo)),
+                {n: plane[cut] for n, plane in chunk.data.items()},
+                state=chunk.state[cut],
+            )
+        _attach_source_index(out, array, selections)
+        return out
 
     index_maps = [
         {src: i + 1 for i, src in enumerate(sel)} for sel in selections

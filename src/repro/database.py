@@ -518,7 +518,7 @@ class SciDB:
         with loader:
             loader.load(stream)
         report = loader.report()
-        self.executor.arrays[name] = target.to_sciarray(name)
+        self.executor.arrays[name] = target.read(name=name)
         if report.quarantine is not None:
             self._quarantines[name] = report.quarantine
         return report
@@ -532,7 +532,7 @@ class SciDB:
         """Materialise a persisted array back into the catalog."""
         if self.storage is None:
             raise SchemaError("this SciDB instance has no storage directory")
-        arr = self.storage.get_array(name).to_sciarray(name)
+        arr = self.storage.get_array(name).read(name=name)
         self.executor.arrays[name] = arr
         return arr
 

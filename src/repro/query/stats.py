@@ -168,14 +168,18 @@ class BucketStats:
                 return False
         return True
 
-    def occupied_coords(self) -> list[Coords]:
-        """The bucket's non-empty cell addresses, decoded from the packed
-        footprint — the NULL cells a value-pruned scan must still emit."""
+    def footprint(self) -> np.ndarray:
+        """The bucket's occupancy mask over its box, decoded from the
+        packed footprint — the NULL cells a value-pruned read must still
+        return."""
         volume = 1
         for s in self.shape:
             volume *= s
-        mask = np.unpackbits(self._footprint, count=volume).reshape(self.shape)
-        offsets = np.argwhere(mask)
+        return np.unpackbits(self._footprint, count=volume).reshape(self.shape)
+
+    def occupied_coords(self) -> list[Coords]:
+        """The bucket's non-empty cell addresses (see :meth:`footprint`)."""
+        offsets = np.argwhere(self.footprint())
         origin = np.asarray(self.origin)
         return [tuple(c) for c in (offsets + origin).tolist()]
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import pickle
 import struct
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..core.array import Chunk
-from ..core.cells import Cell, CellState
-from ..core.datatypes import ScalarType
+from ..core.cells import CellState
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
 from .compression import Codec, best_codec, get_codec
@@ -66,13 +65,8 @@ class Bucket:
         lo = tuple(min(c[d] for c, _ in cells) for d in range(ndim))
         hi = tuple(max(c[d] for c, _ in cells) for d in range(ndim))
         shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        state = np.zeros(shape, dtype=np.uint8)
-        data: dict[str, np.ndarray] = {}
-        for attr in schema.attributes:
-            if isinstance(attr.type, ScalarType) and attr.type.numpy_dtype != object:
-                data[attr.name] = np.zeros(shape, dtype=attr.type.numpy_dtype)
-            else:
-                data[attr.name] = np.empty(shape, dtype=object)
+        planes = Chunk(lo, shape, schema.attributes)
+        state, data = planes.state, planes.data
         for coords, values in cells:
             off = tuple(c - l for c, l in zip(coords, lo))
             if values is None:
@@ -109,66 +103,50 @@ class Bucket:
             int(plane.nbytes) for plane in self.data.values()
         )
 
-    def cells(
+    def slab(
         self, window: Optional[tuple[Coords, Coords]] = None
-    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Iterate stored cells, restricted to *window* (inclusive) if given.
+    ) -> Optional[tuple[Coords, np.ndarray, dict[str, np.ndarray]]]:
+        """The bucket's state and value planes cut to *window* (inclusive),
+        as ``(origin, state, data)`` views; ``None`` when they are disjoint.
 
-        The window path slices the state/value planes down to the
-        intersection box with numpy before the per-cell loop, so a small
+        The read path pastes slabs into chunks with numpy, so a small
         window over a large bucket pays for the cells it returns, not the
         whole slab.
         """
-        names = self.schema.attr_names
-        state = self.state
-        origin = self.origin
-        data = self.data
-        if window is not None:
-            lo, hi = window
-            start = tuple(max(0, l - o) for l, o in zip(lo, origin))
-            stop = tuple(
-                min(s - 1, h - o)
-                for h, o, s in zip(hi, origin, self.shape)
-            )
-            if any(a > b for a, b in zip(start, stop)):
-                return
-            slices = tuple(slice(a, b + 1) for a, b in zip(start, stop))
-            state = state[slices]
-            origin = tuple(o + a for o, a in zip(origin, start))
-            data = {n: data[n][slices] for n in names}
-        occupied = np.argwhere(state != CellState.EMPTY)
-        if occupied.size == 0:
-            return
-        # Bulk extraction: one fancy-index + tolist() per plane converts
-        # every occupied value at C speed, instead of a per-cell, per-
-        # attribute .item() loop (the old read path's hottest line).
-        coords_list = (occupied + np.asarray(origin)).tolist()
-        idx = tuple(occupied[:, d] for d in range(occupied.shape[1]))
-        nulls = (state[idx] == CellState.NULL).tolist()
-        columns = [data[n][idx].tolist() for n in names]
-        value_rows = (
-            zip(*columns) if columns else iter(() for _ in coords_list)
+        if window is None:
+            return self.origin, self.state, self.data
+        lo, hi = window
+        start = tuple(max(0, l - o) for l, o in zip(lo, self.origin))
+        stop = tuple(
+            min(s - 1, h - o) for h, o, s in zip(hi, self.origin, self.shape)
         )
-        for coords, is_null, values in zip(
-            coords_list, nulls, value_rows
-        ):
-            coords = tuple(coords)
-            if is_null:
-                yield coords, None
-            else:
-                yield coords, Cell(names, values)
+        if any(a > b for a, b in zip(start, stop)):
+            return None
+        sel = tuple(slice(a, b + 1) for a, b in zip(start, stop))
+        origin = tuple(o + a for o, a in zip(self.origin, start))
+        return origin, self.state[sel], {n: p[sel] for n, p in self.data.items()}
 
     def merge(self, other: "Bucket") -> "Bucket":
         """Combine two buckets of the same array into one covering both
-        (the Vertica-style background-merge primitive)."""
+        (the Vertica-style background-merge primitive); where both hold a
+        cell, *other*'s wins."""
         if other.schema.attr_names != self.schema.attr_names:
             raise StorageError("cannot merge buckets of different schemas")
-        cells = list(self.cells()) + list(other.cells())
-        flat = [
-            (coords, None if cell is None else cell.values)
-            for coords, cell in cells
-        ]
-        return Bucket.from_cells(self.schema, flat)
+        lo = tuple(map(min, self.box[0], other.box[0]))
+        hi = tuple(map(max, self.box[1], other.box[1]))
+        shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+        planes = Chunk(lo, shape, self.schema.attributes)
+        state, data = planes.state, planes.data
+        for part in (self, other):
+            sel = tuple(
+                slice(o - l, o - l + s)
+                for o, l, s in zip(part.origin, lo, part.shape)
+            )
+            occupied = part.state != CellState.EMPTY
+            state[sel][occupied] = part.state[occupied]
+            for n, plane in part.data.items():
+                data[n][sel][occupied] = plane[occupied]
+        return Bucket(self.schema, lo, shape, state, data)
 
     # -- serialisation --------------------------------------------------------------
 

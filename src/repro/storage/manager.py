@@ -9,7 +9,8 @@ tracks the buckets; "a background thread can combine buckets into larger
 ones as an optimization" (Vertica-style merge).
 
 Read path: window queries prune buckets through the R-tree, decompress only
-the intersecting ones, and merge in any still-buffered cells.
+the intersecting ones, and paste them with any still-buffered cells into
+one chunked in-memory array.
 
 Every byte written/read and every bucket event is counted in
 :class:`StorageStats`, which the storage benchmarks (E8) report.
@@ -17,7 +18,6 @@ Every byte written/read and every bucket event is counted in
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -29,8 +29,8 @@ from typing import Any, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.array import SciArray
-from ..core.cells import Cell
+from ..core.array import DEFAULT_CHUNK_SIDE, SciArray
+from ..core.cells import Cell, CellState
 from ..core.errors import StorageError
 from ..core.schema import ArraySchema
 from ..obs import tracing
@@ -243,6 +243,9 @@ class PersistentArray:
         self._buffer: dict[Coords, Optional[tuple]] = {}
         self._buffer_bytes = 0
         self._live_coords: set[Coords] = set()
+        # Deleted addresses not written since: spilled copies of them
+        # must not read back (see delete()).
+        self._tombstones: set[Coords] = set()
         self._cell_cost = 8 * schema.ndim + 16 * len(schema.attributes)
         self._rtree = RTree(max_entries=8)
         self._next_bucket = 0
@@ -279,24 +282,8 @@ class PersistentArray:
                 self._buffer_bytes += self._cell_cost
             self._buffer[coords] = values
             self._live_coords.add(coords)
+            self._tombstones.discard(coords)
             self.stats.cells_written += 1
-            if self._buffer_bytes >= self.memory_budget:
-                self._spill_locked()
-
-    def append_block(self, origin: Coords, values: dict[str, np.ndarray]) -> None:
-        """Buffer a dense block (bulk-load fast path)."""
-        arrays = {k: np.asarray(v) for k, v in values.items()}
-        shape = next(iter(arrays.values())).shape
-        names = list(self.schema.attr_names)
-        with self._lock:
-            for off in itertools.product(*(range(s) for s in shape)):
-                coords = tuple(int(o + i) for o, i in zip(origin, off))
-                record = tuple(arrays[n][off] for n in names)
-                if coords not in self._buffer:
-                    self._buffer_bytes += self._cell_cost
-                self._buffer[coords] = record
-                self._live_coords.add(coords)
-                self.stats.cells_written += 1
             if self._buffer_bytes >= self.memory_budget:
                 self._spill_locked()
 
@@ -309,17 +296,18 @@ class PersistentArray:
     def delete(self, coords: Coords) -> bool:
         """Logically remove one cell; returns whether it was stored.
 
-        Spilled bucket files are immutable, so deletion is a tombstone in
-        ``_live_coords``: :meth:`scan` and :meth:`get` filter against the
-        live set and the bytes get dropped for real at the next merge
-        rewrite.  Rebalance cutover (cluster/rebalance.py) uses this to
-        retire a partition's stale replica copies without rewriting disk.
+        Spilled bucket files are immutable, so deletion leaves a
+        tombstone: :meth:`read` empties each tombstoned cell after pasting
+        the buckets, and a later write of the address clears it.
+        Rebalance cutover (cluster/rebalance.py) uses this to retire a
+        partition's stale replica copies without rewriting disk.
         """
         with self._lock:
             coords = tuple(int(c) for c in coords)
             if coords not in self._live_coords:
                 return False
             self._live_coords.discard(coords)
+            self._tombstones.add(coords)
             if coords in self._buffer:
                 del self._buffer[coords]
                 self._buffer_bytes -= self._cell_cost
@@ -475,27 +463,25 @@ class PersistentArray:
 
     # -- read path ----------------------------------------------------------------
 
-    def scan(
+    def read(
         self,
         window: Optional[tuple[Coords, Coords]] = None,
         attr_ranges: Optional[dict[str, Any]] = None,
-    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
-        """Iterate cells, restricted to *window* (inclusive box) if given.
+        name: Optional[str] = None,
+    ) -> SciArray:
+        """The stored cells in *window* (an inclusive box; all if ``None``)
+        as one chunked array: buffered cells, then each bucket's slab
+        pasted newest first beneath them (:meth:`SciArray.set_region` with
+        a state mask), then tombstoned cells emptied.  The R-tree prunes
+        buckets outside the window unread (experiment E2).
 
-        Buckets not intersecting the window are pruned via the R-tree and
-        never read from disk — the paper's structural-optimization
-        opportunity (experiment E2).
-
-        *attr_ranges* (attribute name -> :class:`repro.query.stats.Interval`,
-        produced by the planner's predicate analysis) additionally prunes
-        buckets whose min/max statistics prove no stored value can satisfy
-        the ranges.  Correctness contract: a downstream ``filter`` turns a
-        failing cell into NULL, not EMPTY — so a value-pruned bucket still
-        yields ``(coords, None)`` for each of its occupied coordinates,
-        decoded from the footprint kept in the stats catalog.  The file is
-        never opened.  Buckets without statistics (stale, invalidated,
-        collection disabled) are read in full — degradation is always
-        toward more I/O, never toward wrong answers.
+        *attr_ranges* (attribute name -> :class:`repro.query.stats.Interval`
+        from the planner) also prunes buckets whose min/max statistics
+        rule every value out.  A downstream ``filter`` turns failing cells
+        NULL, not EMPTY, so a pruned bucket's occupied cells read back
+        NULL from the footprint in the stats catalog, its file unopened.
+        Buckets without statistics are read in full: staleness costs I/O,
+        never answers.
         """
         with self._lock:
             if window is None:
@@ -504,91 +490,122 @@ class PersistentArray:
                 total = len(self._rtree)
                 entries = list(self._rtree.search(window))
                 self.stats.buckets_pruned += total - len(entries)
-            buffered = dict(self._buffer)
-            live = set(self._live_coords)
+            buffered = list(self._buffer.items())
+            tombstones = list(self._tombstones)
             stats_map = dict(self._bucket_stats) if attr_ranges else {}
 
+        # Chunks a bucket wide (never below the default side), so a sparse
+        # bucket pastes into few chunks, but no wider than window or array.
+        caps = [h - l + 1 for l, h in zip(*window)] if window else self.stride
+        sides = [max(DEFAULT_CHUNK_SIDE, min(s, c)) for s, c in zip(self.stride, caps)]
+        sides = [min(s, d.size or s) for s, d in zip(sides, self.schema.dimensions)]
+        out = SciArray(self.schema, name=name or self.schema.name, chunk_shape=sides)
+        for coords, values in buffered:
+            if window is None or _in_window(coords, window):
+                out.set_unchecked(coords, values)
         # Newest bucket wins when a cell was rewritten across spills.
-        entries.sort(key=lambda e: e[1], reverse=True)
-        seen: set[Coords] = set()
+        pending = sorted(entries, key=lambda e: e[1], reverse=True)
         visited: set[int] = set()
-        pending = list(entries)
         while pending:
-            _box, bucket_id = pending.pop(0)
+            box, bucket_id = pending.pop(0)
             if bucket_id in visited:
                 continue
             visited.add(bucket_id)
-            if attr_ranges:
-                bstats = stats_map.get(bucket_id)
-                if bstats is not None and not bstats.can_match(attr_ranges):
-                    with self._lock:
-                        self.stats.buckets_value_pruned += 1
-                    get_registry().counter("storage.buckets_value_pruned").inc()
-                    tracing.add_current("chunks_pruned", 1)
-                    for coords in bstats.occupied_coords():
-                        if window is not None and not _in_window(
-                            coords, window
-                        ):
-                            continue
-                        if coords in buffered or coords in seen:
-                            continue
-                        if coords not in live:
-                            continue
-                        seen.add(coords)
-                        yield coords, None
-                    continue
-            try:
-                bucket = self._load_bucket(bucket_id)
-            except FileNotFoundError:
-                # A concurrent merge rewrote this bucket's file set after
-                # we snapshotted the R-tree.  The merged bucket holds the
-                # same cells (merges only combine), so re-resolve: queue
-                # the *current* entries intersecting the stale box that we
-                # have not visited yet, and let the seen-set dedup keep
-                # the yield exactly-once.  Correctness degrades toward
-                # re-reads, never toward dropped cells.
+            bstats = stats_map.get(bucket_id)
+            if bstats is not None and not bstats.can_match(attr_ranges):
                 with self._lock:
-                    replacements = list(self._rtree.search(_box))
-                    if attr_ranges:
-                        stats_map.update(self._bucket_stats)
-                pending.extend(
-                    (box, bid)
-                    for box, bid in replacements
-                    if bid not in visited
-                )
-                # Keep newest-first: the merged bucket (highest id) must
-                # be read before older survivors so a rewritten cell's
-                # latest value still wins the seen-set dedup.
-                pending.sort(key=lambda e: e[1], reverse=True)
-                continue
-            for coords, cell in bucket.cells(window):
-                if coords in buffered or coords in seen:
-                    continue  # newest version wins (buffer > disk)
-                if coords not in live:
-                    continue  # tombstoned by delete(); bytes die at merge
-                seen.add(coords)
-                yield coords, cell
-        names = self.schema.attr_names
-        for coords, values in buffered.items():
-            if window is not None and not _in_window(coords, window):
-                continue
-            if values is None:
-                yield coords, None
+                    self.stats.buckets_value_pruned += 1
+                get_registry().counter("storage.buckets_value_pruned").inc()
+                tracing.add_current("chunks_pruned", 1)
+                nulls = bstats.footprint() * np.uint8(CellState.NULL)
+                slab = Bucket(
+                    self.schema, bstats.origin, bstats.shape, nulls, {}
+                ).slab(window)
             else:
-                yield coords, Cell(names, tuple(values))
+                try:
+                    slab = self._load_bucket(bucket_id).slab(window)
+                except FileNotFoundError:
+                    # A concurrent merge rewrote this bucket's file set
+                    # after the R-tree snapshot.  Merges only combine, so
+                    # queue the current entries over the stale box not yet
+                    # visited; pasting beneath keeps cells exactly-once.
+                    with self._lock:
+                        replacements = list(self._rtree.search(box))
+                        if attr_ranges:
+                            stats_map.update(self._bucket_stats)
+                    pending.extend(
+                        e for e in replacements if e[1] not in visited
+                    )
+                    # Newest first: the merged bucket (highest id) must land
+                    # before older survivors for rewritten cells.
+                    pending.sort(key=lambda e: e[1], reverse=True)
+                    continue
+            if slab is not None:
+                origin, state, data = slab
+                out.set_region(origin, data, state=state)
+        for coords in tombstones:
+            if window is None or _in_window(coords, window):
+                out.delete(coords)
+        return out
+
+    def scan(
+        self,
+        window: Optional[tuple[Coords, Coords]] = None,
+        attr_ranges: Optional[dict[str, Any]] = None,
+    ) -> Iterator[tuple[Coords, Optional[Cell]]]:
+        """``(coords, cell)`` pairs of :meth:`read` (NULL cells as ``None``)."""
+        return self.read(window, attr_ranges).cells()
 
     def get(self, coords: Coords) -> Optional[Cell]:
+        """One stored cell (``None`` when NULL), found through the R-tree:
+        the cost does not grow with the number of stored cells."""
         coords = tuple(int(c) for c in coords)
-        with self._lock:
-            if coords in self._buffer:
-                values = self._buffer[coords]
-                return None if values is None else Cell(
-                    self.schema.attr_names, tuple(values)
+        while True:
+            cell = SciArray(self.schema)
+            with self._lock:
+                if coords not in self._live_coords:
+                    raise StorageError(f"cell {coords} not stored")
+                if coords in self._buffer:  # newer than any bucket
+                    cell.set_unchecked(coords, self._buffer[coords])
+                entries = [] if cell.count_occupied() else sorted(
+                    self._rtree.search((coords, coords)),
+                    key=lambda e: e[1], reverse=True,
                 )
-        for c, cell in self.scan((coords, coords)):
-            if c == coords:
-                return cell
-        raise StorageError(f"cell {coords} not stored")
+            try:
+                for _box, bucket_id in entries:  # newest first
+                    origin, state, data = self._load_bucket(bucket_id).slab(
+                        (coords, coords)
+                    )
+                    cell.set_region(origin, data, state=state)
+                    if state.any():
+                        break
+            except FileNotFoundError:
+                continue  # a concurrent merge rewrote the file set: look again
+            for _, value in cell.cells():
+                return value
+            raise StorageError(f"cell {coords} not stored")
+
+    def write(self, array: SciArray) -> None:
+        """Store every occupied cell of *array*, which shares this array's
+        attributes: the bulk form of :meth:`append` for node-local operator
+        output, one bucket per occupied chunk, cut to its occupied box."""
+        with self._lock:
+            if self._buffer:
+                self._spill_locked()  # older than *array*: on disk first
+            for chunk in array.chunks():
+                occupied = np.nonzero(chunk.state)
+                if not occupied[0].size:
+                    continue
+                sel = tuple(slice(o.min(), o.max() + 1) for o in occupied)
+                origin = tuple(int(c + s.start) for c, s in zip(chunk.origin, sel))
+                state = chunk.state[sel]
+                self._write_bucket(Bucket(self.schema, origin, state.shape, state, {
+                    n: chunk.data[n][sel] for n in self.schema.attr_names
+                }))
+                cells = list(map(tuple, (np.transpose(occupied) + chunk.origin).tolist()))
+                self._live_coords.update(cells)
+                self._tombstones.difference_update(cells)
+                self.stats.cells_written += len(cells)
 
     # -- statistics catalog ---------------------------------------------------
 
@@ -614,13 +631,6 @@ class PersistentArray:
                 buckets=list(self._bucket_stats.values()),
                 buffered_cells=len(self._buffer),
             )
-
-    def to_sciarray(self, name: Optional[str] = None) -> SciArray:
-        """Materialise the whole persistent array in memory."""
-        arr = SciArray(self.schema, name=name or self.schema.name)
-        for coords, cell in self.scan():
-            arr.set(coords, cell)
-        return arr
 
     # -- merge optimisation ----------------------------------------------------------
 
@@ -654,6 +664,18 @@ class PersistentArray:
             merges = 0
             for group in small.values():
                 if len(group) < 2:
+                    continue
+                ids = {bucket_id for _, bucket_id in group}
+                box = (
+                    tuple(map(min, *(b[0] for b, _ in group))),
+                    tuple(map(max, *(b[1] for b, _ in group))),
+                )
+                if any(
+                    b not in ids and b > min(ids)
+                    for _, b in self._rtree.search(box)
+                ):
+                    # The merged bucket takes the newest id, so it would
+                    # shadow a newer bucket that overlaps its cells.
                     continue
                 merged: Optional[Bucket] = None
                 group.sort(key=lambda e: e[1])  # oldest first; newer wins

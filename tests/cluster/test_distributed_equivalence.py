@@ -7,8 +7,8 @@ return exactly what the single-node :mod:`repro.core.ops` implementation
 returns over the materialized array.  Hypothesis generates random sparse
 datasets, grid shapes (nodes × replication k × placement policy ×
 partitioner), and — when k permits — a dead node, and checks the
-equivalence for aggregate, sjoin, and subsample.  Runs are derandomized so
-every failure reproduces.
+equivalence for aggregate, regrid, sjoin, subsample and a query-language
+filter.  Runs are derandomized so every failure reproduces.
 
 Cell values are integral floats so aggregation is exact regardless of the
 order partial states merge in.
@@ -32,6 +32,7 @@ from repro.cluster.replication import (
 from repro.core.errors import QuorumError
 from repro.core.ops import content, structural
 from repro.core.schema import define_array
+from repro.database import SciDB
 from repro.storage.loader import LoadRecord
 
 SETTINGS = dict(
@@ -41,6 +42,8 @@ SETTINGS = dict(
 )
 
 AGGS = ["sum", "count", "min", "max", "avg"]
+#: every aggregate the grid folds to mergeable partial states
+ALGEBRAIC = AGGS + ["stdev"]
 
 
 def _cells(arr):
@@ -132,6 +135,48 @@ class TestAggregateEquivalence:
                 grid.nodes[spec["dead"]].fail()
             dist = darr.aggregate([dim], agg, "v")
             want = content.aggregate(local, [dim], agg, "v")
+            assert _cells(dist) == _cells(want)
+
+
+class TestRegridEquivalence:
+    @settings(max_examples=80, **SETTINGS)
+    @given(
+        spec=grid_specs(),
+        cells=datasets,
+        factors=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        agg=st.sampled_from(ALGEBRAIC),
+    )
+    def test_matches_local_regrid(self, spec, cells, factors, agg):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            grid = _make_grid(tmpdir, spec)
+            darr = _load_array(grid, spec, "D", cells)
+            local = darr.materialize()  # ground truth read pre-failure
+            if spec["dead"] is not None:
+                grid.nodes[spec["dead"]].fail()
+            dist = darr.regrid(list(factors), agg, "v")
+            want = content.regrid(local, list(factors), agg, "v")
+            assert dist.schema.dimensions == want.schema.dimensions
+            assert _cells(dist) == _cells(want)
+
+
+class TestQueryFilterEquivalence:
+    @settings(max_examples=60, **SETTINGS)
+    @given(
+        spec=grid_specs(),
+        cells=datasets,
+        threshold=st.integers(-100, 100),
+    )
+    def test_matches_local_filter(self, spec, cells, threshold):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            grid = _make_grid(tmpdir, spec)
+            darr = _load_array(grid, spec, "D", cells)
+            local = darr.materialize()
+            if spec["dead"] is not None:
+                grid.nodes[spec["dead"]].fail()
+            db = SciDB()
+            db.register("D", darr)
+            dist = db.query(f"select filter(D, v > {threshold})")
+            want = content.filter(local, lambda cell: cell.v > threshold)
             assert _cells(dist) == _cells(want)
 
 

@@ -12,7 +12,9 @@ import random
 import pytest
 
 from repro import define_array
+from repro.cluster.resilience import Deadline, deadline_scope
 from repro.core.errors import (
+    DeadlineExceededError,
     GridError,
     PartitioningError,
     QuorumError,
@@ -304,6 +306,35 @@ class TestDualResolveReads:
         grid.nodes[1].fail()
         with pytest.raises(QuorumError):
             list(arr.scan())
+
+
+    def test_dual_resolve_read_checks_deadline_per_chunk(self, tmp_path):
+        """The deadline is checked at every chunk a dual-resolve read
+        visits, not every 64 cells kept: a deadline that runs out while
+        the read walks the new homes stops it, even though it has kept
+        only a handful of the partition's cells."""
+        grid = make_grid(tmp_path, "dualdeadline", n_nodes=4)
+        arr = grid.create_array("sky", schema(), ring(4), replication=1)
+        populate(arr, 120)
+        rb = grid.start_rebalance(
+            "sky", arr.partitioner.without_member(1),
+            max_transfer_cells_per_tick=10**9,
+        )
+        while rb.migration.pending_count():
+            rb.tick()
+        grid.nodes[1].fail()
+        deadline = Deadline.after_ms(60_000)
+        trusted = rb.migration.trusted
+
+        def expire_then_trust(coords, site):
+            deadline.t_deadline = 0.0  # runs out at the first kept cell
+            return trusted(coords, site)
+
+        rb.migration.trusted = expire_then_trust
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceededError) as exc:
+                arr._dual_resolve_read(1, None, None)
+        assert "dual-resolve of partition 1" in exc.value.what
 
 
 class TestDeterministicFailure:
